@@ -12,20 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Value carrier: float64 ndarray. product(shape) == data length and row-major
-# layout are numpy guarantees.
-Tensor = np.ndarray
-
-# Ops accepted by Tape.record. Internal ops (adjoint-graph plumbing) are not
-# part of this public set but share the same VJP machinery.
-PUBLIC_OPS = (
-    "dense", "conv2d", "relu", "softplus", "maxpool2x2",
-    "flatten", "add", "scale", "loss_softmax_xent",
-)
-
-# Ops whose backward pass can itself be recorded as tape nodes.
-DOUBLE_DIFF_OPS = ("dense", "softplus", "add", "scale", "loss_softmax_xent", "leaf")
-
 
 class ShapeMismatch(Exception):
     def __init__(self, op, expected, got):
@@ -66,7 +52,7 @@ def pass_counts():
 
 
 def count_forward():
-    """Called once per full forward construction (model pass or replay)."""
+    """Called once per full forward construction of a model."""
     _pass_counts["forward"] += 1
 
 
@@ -86,6 +72,16 @@ def sigmoid(x):
 def softmax(z):
     s = np.exp(z - z.max(axis=-1, keepdims=True))
     return s / s.sum(axis=-1, keepdims=True)
+
+
+def _minus_onehot(p, labels):
+    """softmax(z) - onehot(labels), per row: the xent gradient in z."""
+    out = p.copy()
+    if p.ndim == 1:
+        out[int(labels)] -= 1.0
+    else:
+        out[np.arange(p.shape[0]), np.asarray(labels)] -= 1.0
+    return out
 
 
 def per_example_xent(logits, labels):
@@ -145,14 +141,6 @@ class Tape:
 
     def register_site(self, site_id, node):
         self.sites[int(site_id)] = node.idx
-
-    def site_node(self, site_id):
-        if site_id not in self.sites:
-            raise UnknownSite(site_id)
-        return self.nodes[self.sites[site_id]]
-
-    def grad(self, node):
-        return self.grads.get(node.idx)
 
     def site_grads(self):
         """Gradients at every registered site, keyed by site id."""
@@ -322,15 +310,8 @@ def _fwd_mean_all(values, params):
 
 def _fwd_xent_bwd(values, params):
     # (softmax(z) - onehot(labels)) * factor; adjoint of the xent loss node
-    z = values[0]
-    labels = params["labels"]
-    p = softmax(z)
-    out = p.copy()
-    if z.ndim == 1:
-        out[int(labels)] -= 1.0
-    else:
-        out[np.arange(z.shape[0]), np.asarray(labels)] -= 1.0
-    return out * params["factor"], {"p": p}
+    p = softmax(values[0])
+    return _minus_onehot(p, params["labels"]) * params["factor"], {"p": p}
 
 
 _FORWARD = {
@@ -420,15 +401,9 @@ def _vjp_scale(tape, node, g):
 
 
 def _vjp_loss_xent(tape, node, g):
-    z = tape.nodes[node.inputs[0]].value
-    p = node.meta["p"]
-    gz = p.copy()
-    if z.ndim == 1:
-        gz[int(node.params["labels"])] -= 1.0
-    else:
-        gz[np.arange(z.shape[0]), np.asarray(node.params["labels"])] -= 1.0
-        if node.params.get("reduction", "mean") == "mean":
-            gz /= z.shape[0]
+    gz = _minus_onehot(node.meta["p"], node.params["labels"])
+    if gz.ndim == 2 and node.params.get("reduction", "mean") == "mean":
+        gz /= gz.shape[0]
     return [gz * g]
 
 
@@ -460,12 +435,8 @@ def _vjp_smul(tape, node, g):
     return [g * s, np.asarray((g * t).sum())]
 
 
-def _vjp_sum_rows(tape, node, g):
-    x = tape.nodes[node.inputs[0]].value
-    return [np.broadcast_to(g, x.shape)]
-
-
-def _vjp_sum_all(tape, node, g):
+def _vjp_sum(tape, node, g):
+    # sum_rows and sum_all: the upstream gradient broadcasts back over x
     x = tape.nodes[node.inputs[0]].value
     return [np.broadcast_to(g, x.shape)]
 
@@ -481,7 +452,8 @@ def _vjp_sqrt(tape, node, g):
 
 def _vjp_div(tape, node, g):
     a, b = (tape.nodes[i].value for i in node.inputs)
-    return [g / b, -g * a / (b * b)]
+    # (g/b)*(a/b), not g*a/(b*b): b*b underflows to 0 for tiny norms
+    return [g / b, -(g / b) * (a / b)]
 
 
 def _vjp_mean_all(tape, node, g):
@@ -513,8 +485,8 @@ _NUMERIC_VJPS = {
     "sub": _vjp_sub,
     "sigmoid": _vjp_sigmoid,
     "smul": _vjp_smul,
-    "sum_rows": _vjp_sum_rows,
-    "sum_all": _vjp_sum_all,
+    "sum_rows": _vjp_sum,
+    "sum_all": _vjp_sum,
     "rows_dot": _vjp_rows_dot,
     "sqrt": _vjp_sqrt,
     "div": _vjp_div,
@@ -540,10 +512,6 @@ def _gvjp_softplus(tape, node, g):
     return [tape.record("mul", [g, tape.record("sigmoid", [xn])])]
 
 
-def _gvjp_add(tape, node, g):
-    return [g, g]
-
-
 def _gvjp_scale(tape, node, g):
     return [tape.record("scale", [g], c=node.params["c"])]
 
@@ -561,7 +529,7 @@ def _gvjp_loss_xent(tape, node, g):
 _GRAPH_VJPS = {
     "dense": _gvjp_dense,
     "softplus": _gvjp_softplus,
-    "add": _gvjp_add,
+    "add": _vjp_add,
     "scale": _gvjp_scale,
     "loss_softmax_xent": _gvjp_loss_xent,
 }
@@ -611,47 +579,6 @@ def backward(tape, loss, as_graph=False):
     if not as_graph:
         tape.grads = adj
     return adj
-
-
-def inject(template, deltas):
-    """Replay a recorded forward pass with h_k <- h_k + delta_k at given sites.
-
-    Returns a fresh Tape whose .of(node) maps template nodes to replayed
-    ones; sites not named in `deltas` are propagated unperturbed.
-    """
-    site_to_delta = {}
-    for k, d in deltas.items():
-        if k not in template.sites:
-            raise UnknownSite(k)
-        d = _as_f64(d)
-        want = template.nodes[template.sites[k]].value.shape
-        if d.shape != want:
-            raise ShapeMismatch("inject", want, d.shape)
-        site_to_delta[template.sites[k]] = d
-
-    new = Tape()
-    mapping = {}
-    for node in template.nodes:
-        if node.op == "leaf":
-            replayed = new.leaf(node.value)
-        else:
-            replayed = new.record(node.op, [mapping[i] for i in node.inputs],
-                                  **node.params)
-        if node.idx in site_to_delta:
-            replayed = new.record("add", [replayed,
-                                          new.leaf(site_to_delta[node.idx])])
-        mapping[node.idx] = replayed
-    for k, idx in template.sites.items():
-        new.register_site(k, mapping[idx])
-    new.input = mapping[template.input.idx] if template.input is not None else None
-    new.params = {name: mapping[n.idx] for name, n in template.params.items()}
-    new._mapping = mapping
-    count_forward()
-    return new
-
-
-def replayed_node(injected_tape, template_node):
-    return injected_tape._mapping[template_node.idx]
 
 
 def grad_check(builder, point, h=1e-5):

@@ -60,9 +60,7 @@ def run(cfg, ckpt=None, eval_only=False):
     attack = AttackSpec(kind="pgd", epsilon=eps, alpha=cfg.eval.alpha,
                         steps=cfg.eval.steps, restarts=cfg.eval.restarts,
                         clamp=test_ds.input_scale, seed=cfg.eval.seed)
-    pick = np.random.default_rng((cfg.seed, 7919))
-    idx = pick.permutation(len(test_ds))[:cfg.eval.n_eval]
-    eval_subset = test_ds.subset(idx)
+    eval_subset = training.eval_subset(test_ds, cfg.eval.n_eval, cfg.seed)
 
     summary = {
         "method": cfg.train.method,
@@ -82,12 +80,7 @@ def run(cfg, ckpt=None, eval_only=False):
         summary["boundary_ratio"] = metrics_mod.boundary_nonrobust_ratio(model)
 
     if cfg.output.save_landscape and aborted is None:
-        sample = eval_subset.subset(np.arange(min(64, len(eval_subset))))
-        grid = metrics_mod.loss_landscape(model, sample.xs, sample.ys, eps,
-                                          n=cfg.eval.landscape_n,
-                                          seed=cfg.eval.seed)
-        metrics_mod.save_landscape_csv(
-            grid, os.path.join(out, f"landscape_{cfg.train.method}.csv"))
+        _save_landscape(cfg, model, eval_subset, eps)
     if cfg.output.save_checkpoint and not eval_only:
         models_mod.save_checkpoint(model, os.path.join(out, "final.ckpt"))
 
@@ -98,10 +91,20 @@ def run(cfg, ckpt=None, eval_only=False):
     return 2 if aborted else 0
 
 
+def _save_landscape(cfg, model, dataset, eps):
+    """Loss landscape over the first 64 examples, as landscape_<method>.csv."""
+    sample = dataset.subset(np.arange(min(64, len(dataset))))
+    grid = metrics_mod.loss_landscape(model, sample.xs, sample.ys, eps,
+                                      n=cfg.eval.landscape_n, seed=cfg.eval.seed)
+    path = os.path.join(cfg.output.dir, f"landscape_{cfg.train.method}.csv")
+    metrics_mod.save_landscape_csv(grid, path)
+    return path
+
+
 def sweep(config_path, overrides, param, values, out_root):
     """One run per value of a dotted config parameter; merged sweep.csv."""
-    if not values:
-        raise ValidationError([f"sweep over {param}: empty value list"])
+    if not values or not all(v.strip() for v in values):
+        raise ValidationError([f"sweep over {param}: empty value in {values!r}"])
     os.makedirs(out_root, exist_ok=True)
 
     def one(value):
@@ -231,15 +234,8 @@ def main(argv=None):
             models_mod.load_into(model, models_mod.load_checkpoint(args.ckpt))
             eps = (cfg.eval.epsilon if cfg.eval.epsilon is not None
                    else cfg.train.epsilon)
-            sample = test_ds.subset(np.arange(min(64, len(test_ds))))
-            grid = metrics_mod.loss_landscape(model, sample.xs, sample.ys, eps,
-                                              n=cfg.eval.landscape_n,
-                                              seed=cfg.eval.seed)
             os.makedirs(cfg.output.dir, exist_ok=True)
-            path = os.path.join(cfg.output.dir,
-                                f"landscape_{cfg.train.method}.csv")
-            metrics_mod.save_landscape_csv(grid, path)
-            print(path)
+            print(_save_landscape(cfg, model, test_ds, eps))
             return 0
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

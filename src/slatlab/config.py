@@ -5,6 +5,7 @@ validation with every violation reported, and dataset/model construction.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -234,7 +235,14 @@ def parse_config(path=None, overrides=None):
     if problems:
         raise ValidationError(problems)
     cfg.train.seed = cfg.seed
+    eta = cfg.model.eta
+    cfg.train.eta = (dict(eta) if isinstance(eta, dict)
+                     else {k: eta for k in _sites(cfg)})
     return cfg
+
+
+def _sites(cfg):
+    return cfg.model.k if cfg.model.k is not None else _ZOO_SITES[cfg.model.zoo]
 
 
 def _fill_defaults(cfg, explicit):
@@ -254,8 +262,16 @@ def _fill_defaults(cfg, explicit):
         cfg.model.classes = 10
 
 
+def _finite_nonneg(value):
+    return math.isfinite(value) and value >= 0
+
+
 def _validate(cfg):
     problems = []
+    eta = cfg.model.eta
+    etas = eta.values() if isinstance(eta, dict) else [eta]
+    if not all(_finite_nonneg(v) for v in etas):
+        problems.append("model.eta (default: train.epsilon) must be finite and >= 0")
     if cfg.model.zoo not in _ZOO_SITES:
         problems.append(f"model.zoo: unknown zoo {cfg.model.zoo!r}")
     else:
@@ -264,6 +280,12 @@ def _validate(cfg):
             problems.append(
                 f"model.k: sites {sorted(set(cfg.model.k) - avail)} not available "
                 f"for {cfg.model.zoo} (has {sorted(avail)})")
+        elif isinstance(eta, dict) and set(eta) != set(_sites(cfg)):
+            sites = set(_sites(cfg))
+            problems.append(
+                f"model.eta: per-site steps must cover exactly the sites "
+                f"{sorted(sites)}; missing {sorted(sites - set(eta))}, "
+                f"unknown {sorted(set(eta) - sites)}")
     if cfg.model.activation not in ("relu", "softplus"):
         problems.append(f"model.activation: {cfg.model.activation!r}")
     if cfg.data.kind not in ("toy", "idx"):
@@ -279,14 +301,18 @@ def _validate(cfg):
         problems.append(f"train.method: {cfg.train.method!r}")
     if cfg.train.epochs < 1 or cfg.train.batch < 1:
         problems.append("train.epochs and train.batch must be >= 1")
-    if cfg.train.lr_max <= 0:
-        problems.append("train.lr_max must be > 0")
-    if cfg.train.epsilon < 0:
-        problems.append("train.epsilon must be >= 0")
+    if not (math.isfinite(cfg.train.lr_max) and cfg.train.lr_max > 0):
+        problems.append("train.lr_max must be finite and > 0")
+    if not _finite_nonneg(cfg.train.epsilon):
+        problems.append("train.epsilon must be finite and >= 0")
+    if cfg.eval.epsilon is not None and not _finite_nonneg(cfg.eval.epsilon):
+        problems.append("eval.epsilon must be finite and >= 0")
     if not 0 < cfg.train.peak_fraction < 1:
         problems.append("train.peak_fraction must be in (0, 1)")
     if cfg.eval.steps < 1 or cfg.eval.restarts < 1:
         problems.append("eval.steps and eval.restarts must be >= 1")
+    if cfg.eval.n_eval < 1 or cfg.eval.align_n < 1:
+        problems.append("eval.n_eval and eval.align_n must be >= 1")
     return problems
 
 
@@ -303,12 +329,6 @@ def build_model(cfg):
     if m.k is not None and m.zoo != "small_cnn":
         model.site_positions = {k: model.site_positions[k] for k in m.k}
         model.K = sorted(model.site_positions)
-    eta = m.eta if m.eta is not None else cfg.train.epsilon
-    if np.isscalar(eta):
-        model.set_uniform_eta(eta)
-    else:
-        model.eta = {int(k): float(v) for k, v in eta.items()}
-    cfg.train.eta = dict(model.eta)
     return model
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .attacks import fgsm, input_grad, latent_deltas, r_fgsm, run_attack
 from .autodiff import backward, per_example_xent
 from .data import DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA, rademacher
-from .models import forward_logits, forward_with_latents
+from .models import forward_logits, forward_with_latents, loss_grads
 
 
 class DegenerateBoundary(Exception):
@@ -94,10 +94,7 @@ def grad_alignment(model, x, y, epsilon, seed=0):
 def feature_grad_l1(model, x, y, K=None):
     """Per-site mean l1 norm of latent gradients at clean inputs."""
     K = model.K if K is None else sorted(K)
-    logits, _, tape = forward_with_latents(model, x)
-    loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
-                       reduction="sum")
-    backward(tape, loss)
+    _, tape = loss_grads(model, x, y)
     out = {}
     for k in K:
         g = tape.grads[tape.sites[k]]
@@ -107,14 +104,10 @@ def feature_grad_l1(model, x, y, K=None):
 
 def linear_approx_error(model, x, y, site, eps_vec):
     """|L(h+eps) - L(h) - <grad_h L, eps>| via two forwards and one backward."""
-    x = np.asarray(x, dtype=np.float64)
-    logits, _, tape = forward_with_latents(model, x)
-    loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
-                       reduction="sum")
-    backward(tape, loss)
+    loss, tape = loss_grads(model, x, y)
     g = tape.grads[tape.sites[site]]
     eps_vec = np.asarray(eps_vec, dtype=np.float64)
-    logits_p, _, tape_p = forward_with_latents(model, x, {site: eps_vec})
+    logits_p, _, _ = forward_with_latents(model, x, {site: eps_vec})
     loss_p = per_example_xent(logits_p.value, y).sum()
     return float(abs(loss_p - loss.value - (g * eps_vec).sum()))
 
@@ -127,7 +120,7 @@ def accumulated_linearization_error(model, x, y, eta):
     """
     x = np.asarray(x, dtype=np.float64)
     eta_map = {k: eta for k in model.K} if np.isscalar(eta) else eta
-    deltas = latent_deltas(model, x, y, eta=eta_map)
+    deltas = latent_deltas(model, x, y, eta_map)
 
     logits, _, tape = forward_with_latents(model, x)
     n_classes = logits.value.shape[1]
@@ -187,8 +180,6 @@ def slice_linear_residual(grid):
 
 def logits_l2_distance(model, x, y, epsilon, alpha=None, seed=0, clamp=None):
     """Mean l2 distance between logits of FGSM and R+FGSM adversaries."""
-    if alpha is None:
-        alpha = 1.25 * epsilon
     za = forward_logits(model, fgsm(model, x, y, epsilon, clamp))
     zb = forward_logits(model, r_fgsm(model, x, y, epsilon, alpha, clamp, seed))
     return float(np.linalg.norm(za - zb, axis=1).mean())

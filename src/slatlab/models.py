@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tape, UnknownSite, count_forward
+from .autodiff import ShapeMismatch, Tape, UnknownSite, backward, count_forward
 
 CKPT_MAGIC = b"SLATCKPT"
 CKPT_VERSION = 1
@@ -37,8 +37,8 @@ class Layer:
 
 
 class Model:
-    def __init__(self, layers, sites, eta=None, activation="relu",
-                 input_shape=(), n_classes=2, name="model"):
+    def __init__(self, layers, sites, activation="relu", input_shape=(),
+                 n_classes=2, name="model"):
         self.layers = list(layers)
         self.site_positions = {int(k): int(p) for k, p in sites.items()}
         for k, p in self.site_positions.items():
@@ -47,7 +47,6 @@ class Model:
                     f"site {k} at position {p}: injection must happen strictly "
                     f"before the final layer")
         self.K = sorted(self.site_positions)
-        self.eta = {int(k): float(v) for k, v in (eta or {}).items()}
         self.activation = activation
         self.input_shape = tuple(input_shape)
         self.n_classes = int(n_classes)
@@ -61,13 +60,10 @@ class Model:
                 out[f"layer{i}.{pname}"] = arr
         return out
 
-    def set_uniform_eta(self, value):
-        self.eta = {k: float(value) for k in self.K}
-
     def copy(self):
         layers = [Layer(l.kind, **{n: a.copy() for n, a in l.arrays.items()})
                   for l in self.layers]
-        return Model(layers, self.site_positions, self.eta, self.activation,
+        return Model(layers, self.site_positions, self.activation,
                      self.input_shape, self.n_classes, self.name)
 
 
@@ -121,6 +117,19 @@ def forward_with_latents(model, x, deltas=None):
             cur = _apply_layer(tape, model.layers[p], cur, p)
     count_forward()
     return cur, latents, tape
+
+
+def loss_grads(model, x, y, deltas=None, reduction="sum"):
+    """Cross-entropy of one (optionally injected) forward pass, swept once.
+
+    Returns (loss node, tape); tape.grads then holds the input, every site
+    and every parameter gradient.
+    """
+    logits, _, tape = forward_with_latents(model, x, deltas)
+    loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
+                       reduction=reduction)
+    backward(tape, loss)
+    return loss, tape
 
 
 def forward_logits(model, x):
@@ -200,9 +209,6 @@ def build_small_cnn(in_shape=(1, 28, 28), classes=10, activation="relu",
     chosen = {k: positions[k] for k in sites}
     return Model(layers, sites=chosen, activation=activation,
                  input_shape=tuple(in_shape), n_classes=classes, name="small_cnn")
-
-
-_ZOO = {"linear": build_linear, "toy_mlp": build_toy_mlp, "small_cnn": build_small_cnn}
 
 
 def save_checkpoint(model, path):

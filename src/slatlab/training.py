@@ -6,20 +6,20 @@ learning-rate schedule, and the gradient-reuse alignment regularizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .attacks import deltas_from_tape, fgsm, pgd, r_fgsm
-from .autodiff import UnsupportedOps, backward
+from .attacks import _clamp, deltas_from_tape, fgsm, latent_deltas, pgd, r_fgsm
+from .autodiff import _GRAPH_VJPS, UnsupportedOps, backward
 from .data import augment_pad_crop
-from .models import forward_with_latents
+from .models import forward_with_latents, loss_grads
 
 METHODS = ("standard", "fgsm_at", "fgsm_rs", "pgd_at", "slat",
            "slat_fast_ga", "fgsm_rs_latent")
 
-DOUBLE_DIFF_LAYERS = ("dense", "softplus")
+DOUBLE_DIFF_LAYERS = tuple(_GRAPH_VJPS)
 
 
 class NonFiniteGradient(Exception):
@@ -101,73 +101,47 @@ def sgd_update(params, grads, state, lr, momentum, weight_decay):
         p -= lr * v
 
 
-def _clamp(x, clamp):
-    return x if clamp is None else np.clip(x, clamp[0], clamp[1])
-
-
-def _mean_loss_and_grads(model, x, y, deltas=None):
-    logits, _, tape = forward_with_latents(model, x, deltas)
-    loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
-                       reduction="mean")
-    backward(tape, loss)
+def _update(model, x_in, y, spec, state, lr, deltas=None):
+    """One SGD step on the mean loss at x_in with latent deltas injected."""
+    loss, tape = loss_grads(model, x_in, y, deltas, reduction="mean")
     grads = {name: tape.grads[node.idx] for name, node in tape.params.items()}
-    return float(loss.value), grads, tape
+    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
+               spec.weight_decay)
+    return float(loss.value)
+
+
+def _slat_inputs(model, x, y, spec, clamp):
+    """One clean sweep -> (x + delta_0, the other sites' deltas, clean input
+    gradient)."""
+    _, tape = loss_grads(model, x, y)
+    deltas = deltas_from_tape(tape, model.K, spec.eta_for(model))
+    x_in = _clamp(x + deltas.pop(0), clamp) if 0 in deltas else x
+    return x_in, deltas, tape.grads[tape.input.idx]
 
 
 def standard_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
-    loss, grads, _ = _mean_loss_and_grads(model, x, y)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
-               spec.weight_decay)
-    return loss
+    return _update(model, x, y, spec, state, lr)
 
 
 def fgsm_at_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
     x_adv = fgsm(model, x, y, spec.epsilon, clamp)
-    loss, grads, _ = _mean_loss_and_grads(model, x_adv, y)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
-               spec.weight_decay)
-    return loss
+    return _update(model, x_adv, y, spec, state, lr)
 
 
 def fgsm_rs_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
-    x_adv = r_fgsm(model, x, y, spec.epsilon, 1.25 * spec.epsilon, clamp,
-                   seed=step_seed)
-    loss, grads, _ = _mean_loss_and_grads(model, x_adv, y)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
-               spec.weight_decay)
-    return loss
+    x_adv = r_fgsm(model, x, y, spec.epsilon, clamp=clamp, seed=step_seed)
+    return _update(model, x_adv, y, spec, state, lr)
 
 
 def pgd_at_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
-    x_adv = pgd(model, x, y, spec.epsilon, 2 * spec.epsilon / 10, steps=7,
-                restarts=1, clamp=clamp, seed=step_seed)
-    loss, grads, _ = _mean_loss_and_grads(model, x_adv, y)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
-               spec.weight_decay)
-    return loss
-
-
-def _slat_passes(model, x, y, spec, clamp):
-    """Clean pass for the deltas, then the injected pass; two sweeps total."""
-    eta = spec.eta_for(model)
-    logits, _, tape = forward_with_latents(model, x)
-    loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
-                       reduction="sum")
-    backward(tape, loss)
-    deltas = deltas_from_tape(tape, model.K, eta)
-    x_in = _clamp(x + deltas[0], clamp) if 0 in deltas else x
-    latent_only = {k: d for k, d in deltas.items() if k != 0}
-    g_clean = tape.grads[tape.input.idx]
-    return x_in, latent_only, g_clean
+    x_adv = pgd(model, x, y, spec.epsilon, steps=7, clamp=clamp, seed=step_seed)
+    return _update(model, x_adv, y, spec, state, lr)
 
 
 def slat_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
     """One update on the all-sites-perturbed loss: 2 forwards + 2 backwards."""
-    x_in, latent_only, _ = _slat_passes(model, x, y, spec, clamp)
-    loss, grads, _ = _mean_loss_and_grads(model, x_in, y, latent_only)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
-               spec.weight_decay)
-    return loss
+    x_in, deltas, _ = _slat_inputs(model, x, y, spec, clamp)
+    return _update(model, x_in, y, spec, state, lr, deltas)
 
 
 def fast_ga_loss(model, x, y, spec, clamp=None):
@@ -176,14 +150,14 @@ def fast_ga_loss(model, x, y, spec, clamp=None):
     g_clean is the input gradient from the delta-generation pass, treated as
     a constant; g_adv is the input gradient of the injected pass, built as
     tape nodes so the penalty differentiates through it. Returns the total
-    loss node, its tape, and the named parameter gradient nodes' tape.
+    loss node and its tape.
     """
     for layer in model.layers:
         if layer.kind not in DOUBLE_DIFF_LAYERS:
             raise UnsupportedOps(
-                f"gradient-alignment training needs dense/softplus models, "
-                f"got layer kind {layer.kind!r}")
-    x_in, latent_only, g_clean = _slat_passes(model, x, y, spec, clamp)
+                f"gradient-alignment training needs layers with a "
+                f"double-backward rule, got layer kind {layer.kind!r}")
+    x_in, latent_only, g_clean = _slat_inputs(model, x, y, spec, clamp)
 
     logits, _, tape = forward_with_latents(model, x_in, latent_only)
     adv_loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
@@ -205,6 +179,7 @@ def fast_ga_loss(model, x, y, spec, clamp=None):
 
 
 def slat_fast_ga_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+    """SGD on fast_ga_loss: its loss is graph-built, so it sweeps it itself."""
     total, tape = fast_ga_loss(model, x, y, spec, clamp)
     backward(tape, total)
     grads = {name: tape.grads[node.idx] for name, node in tape.params.items()}
@@ -215,13 +190,10 @@ def slat_fast_ga_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
 
 def fgsm_rs_latent_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
     """Random-start input adversary combined with clean-derived latent deltas."""
-    x_adv = r_fgsm(model, x, y, spec.epsilon, 1.25 * spec.epsilon, clamp,
-                   seed=step_seed)
-    _, latent_only, _ = _slat_passes(model, x, y, spec, clamp=None)
-    loss, grads, _ = _mean_loss_and_grads(model, x_adv, y, latent_only)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
-               spec.weight_decay)
-    return loss
+    x_adv = r_fgsm(model, x, y, spec.epsilon, clamp=clamp, seed=step_seed)
+    latent = latent_deltas(model, x, y, spec.eta_for(model),
+                           K=[k for k in model.K if k != 0])
+    return _update(model, x_adv, y, spec, state, lr, latent)
 
 
 _STEP_FNS = {
@@ -238,8 +210,7 @@ _STEP_FNS = {
 def evaluate_checkpoint(model, xs, ys, spec, ev, step, epoch, lr, clamp=None):
     """One MetricRecord: accuracy, attack robustness, and linearity probes."""
     eps = ev.epsilon if ev.epsilon is not None else spec.epsilon
-    alpha = ev.alpha if ev.alpha is not None else 2 * eps / 10
-    x_adv = pgd(model, xs, ys, eps, alpha, ev.attack_steps, ev.attack_restarts,
+    x_adv = pgd(model, xs, ys, eps, ev.alpha, ev.attack_steps, ev.attack_restarts,
                 clamp, seed=ev.seed)
     xa, ya = xs[:ev.align_n], ys[:ev.align_n]
     return metrics_mod.MetricRecord(
@@ -254,6 +225,12 @@ def evaluate_checkpoint(model, xs, ys, spec, ev, step, epoch, lr, clamp=None):
                                                  seed=ev.seed, clamp=clamp),
         lr=lr,
     )
+
+
+def eval_subset(dataset, n, seed):
+    """The first n of a seeded permutation: the examples a run evaluates on."""
+    order = np.random.default_rng((seed, 7919)).permutation(len(dataset))
+    return dataset.subset(order[:n])
 
 
 def train(model, dataset, spec, sinks=(), eval_data=None, eval_settings=None):
@@ -275,10 +252,9 @@ def train(model, dataset, spec, sinks=(), eval_data=None, eval_settings=None):
     every = spec.checkpoint_every or steps_per_epoch
     step_fn = _STEP_FNS[spec.method]
 
-    src = eval_data if eval_data is not None else dataset
-    pick = np.random.default_rng((spec.seed, 7919))
-    idx = pick.permutation(len(src))[:ev.n_eval]
-    exs, eys = src.xs[idx], src.ys[idx]
+    held_out = eval_subset(eval_data if eval_data is not None else dataset,
+                           ev.n_eval, spec.seed)
+    exs, eys = held_out.xs, held_out.ys
 
     state = init_optimizer(model)
     records = []

@@ -15,6 +15,13 @@ MNIST_NAMES = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    """Run every test from its own tmp_path, so that a CLI default output
+    directory (out/, sweep_out/) never lands in the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture(scope="session")
 def digit_corpus():
     """IDX paths for the image experiments: real MNIST when SLATLAB_MNIST_DIR

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from slatlab.autodiff import (LabelOutOfRange, NonScalarLoss, ShapeMismatch,
-                              Tape, UnknownSite, UnsupportedOps, backward,
-                              grad_check, inject, pass_counts, per_example_xent,
-                              replayed_node, reset_pass_counts)
+                              Tape, UnsupportedOps, backward, grad_check,
+                              pass_counts, per_example_xent, reset_pass_counts)
 
 
 def test_dense_identity():
@@ -153,42 +152,6 @@ def test_free_latent_gradients_match_truncated():
         full = tape.grads[tape.sites[k]]
         trunc = ttape.grads[ttape.input.idx]
         assert np.abs(full - trunc).max() <= 1e-12 * max(1, np.abs(trunc).max())
-
-
-def test_inject_zero_deltas_identity():
-    rng = np.random.default_rng(0)
-    t = Tape()
-    x = t.leaf(rng.normal(size=(3, 2)))
-    t.register_site(0, x)
-    h = t.record("softplus", [t.record("dense", [x, rng.normal(size=(2, 4)),
-                                                 np.zeros(4)])])
-    t.register_site(1, h)
-    z = t.record("dense", [h, rng.normal(size=(4, 2)), np.zeros(2)])
-    t2 = inject(t, {0: np.zeros((3, 2)), 1: np.zeros((3, 4))})
-    assert np.array_equal(replayed_node(t2, z).value, z.value)
-
-
-def test_inject_linear_shift():
-    rng = np.random.default_rng(1)
-    w = rng.normal(size=(2, 3))
-    t = Tape()
-    x = t.leaf(rng.normal(size=(4, 2)))
-    t.register_site(0, x)
-    z = t.record("dense", [x, w, np.zeros(3)])
-    v = rng.normal(size=(4, 2))
-    t2 = inject(t, {0: v})
-    np.testing.assert_allclose(replayed_node(t2, z).value, z.value + v @ w,
-                               rtol=0, atol=1e-12)
-
-
-def test_inject_unknown_site_and_shape():
-    t = Tape()
-    x = t.leaf(np.ones((2, 2)))
-    t.register_site(0, x)
-    with pytest.raises(UnknownSite):
-        inject(t, {5: np.zeros((2, 2))})
-    with pytest.raises(ShapeMismatch):
-        inject(t, {0: np.zeros((3, 2))})
 
 
 def test_reverse_sweep_deterministic():

@@ -65,8 +65,8 @@ def test_idx_defaults_use_image_radius(tmp_path):
     assert train_ds.xs.shape == (8, 1, 28, 28)
     model = build_model(cfg)
     assert model.K == [0, 1, 2]
-    assert model.eta == {0: pytest.approx(8 / 255), 1: pytest.approx(8 / 255),
-                         2: pytest.approx(8 / 255)}
+    assert cfg.train.eta == {0: pytest.approx(8 / 255), 1: pytest.approx(8 / 255),
+                             2: pytest.approx(8 / 255)}
 
 
 def test_unknown_key_named_in_error(tmp_path):
@@ -85,6 +85,12 @@ def test_validation_reports_all_problems():
         parse_config(None, {"train.method": "bogus", "model.activation": "tanh"})
     text = str(err.value)
     assert "train.method" in text and "model.activation" in text
+    bad = {"eval.n_eval": "0", "eval.align_n": "0", "train.epsilon": "nan",
+           "eval.epsilon": "inf", "train.lr_max": "nan", "model.eta": "-0.1"}
+    for overrides in [bad] + [{k: v} for k, v in bad.items()]:
+        with pytest.raises(ValidationError) as err:
+            parse_config(None, overrides)
+        assert all(key in str(err.value) for key in overrides)
 
 
 def test_seed_flag_overrides_file(tmp_path):
@@ -120,6 +126,12 @@ def test_k_subset_validation():
     with pytest.raises(ValidationError) as err:
         parse_config(None, {"model.zoo": "toy_mlp", "model.k": "0,1,2"})
     assert "model.k" in str(err.value)
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {"model.zoo": "toy_mlp", "model.eta": "0:0.1"})
+    assert "model.eta" in str(err.value) and "missing [1]" in str(err.value)
+    cfg = parse_config(None, {"model.zoo": "toy_mlp", "model.k": "1",
+                              "model.eta": "1:0.2"})
+    assert cfg.train.eta == {1: 0.2}
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -166,13 +178,20 @@ def test_eval_only_reproduces_summary(tmp_path):
         assert first[key] == second[key]
 
 
-def test_cli_train_and_exit_codes(tmp_path):
+def test_cli_train_and_exit_codes(tmp_path, capsys):
     path = write_cfg(tmp_path)
     out = str(tmp_path / "cli_out")
     assert main(["train", "--config", path, "--out", out, "--seed", "9"]) == 0
     summary = json.loads((tmp_path / "cli_out" / "summary.json").read_text())
     assert summary["seed"] == 9
+    capsys.readouterr()
     assert main(["train", "--config", path, "--train.method=bogus"]) == 1
+    assert main(["train", "--config", path, "--out", str(tmp_path / "eta_out"),
+                 "--model.eta=0:0.1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error:") for e in err)
+    assert "model.eta" in err[1] and "missing [1]" in err[1]
+    assert not (tmp_path / "eta_out").exists()
     assert main(["eval", "--config", path, "--out", out,
                  "--ckpt", os.path.join(out, "final.ckpt")]) == 0
 
@@ -198,10 +217,14 @@ def test_sweep_merges_rows(tmp_path, monkeypatch):
     assert lines[1].startswith("0.05,0")
 
 
-def test_sweep_empty_values_is_config_error(tmp_path):
+def test_sweep_empty_values_is_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path)
-    assert main(["sweep", "--config", path, "--param", "train.epsilon",
-                 "--values", ""]) == 1
+    for values in ("", "0.1,", ",0.1"):
+        assert main(["sweep", "--config", path, "--param", "train.epsilon",
+                     "--values", values]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "sweep_out").exists()
 
 
 def test_sweep_continues_past_failures(tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from slatlab.autodiff import UnsupportedOps, pass_counts, reset_pass_counts
+from slatlab import training as training_mod
+from slatlab.autodiff import (UnsupportedOps, backward, pass_counts,
+                              reset_pass_counts)
 from slatlab.data import ToySpec, gen_toy
 from slatlab.metrics import mean_xent, read_metrics_csv, write_metrics_csv
 from slatlab.models import build_linear, build_toy_mlp
-from slatlab.training import (EvalSettings, NonFiniteGradient, TrainSpec,
-                              cyclic_lr, fast_ga_loss, fgsm_at_step,
+from slatlab.training import (METHODS, EvalSettings, NonFiniteGradient,
+                              TrainSpec, cyclic_lr, fast_ga_loss, fgsm_at_step,
                               init_optimizer, sgd_update, slat_fast_ga_step,
                               slat_step, standard_step, train)
 
@@ -108,14 +110,25 @@ def test_slat_with_zero_eta_is_standard_training():
         assert np.abs(p1 - p2).max() <= 1e-12
 
 
-def test_slat_step_cost_is_two_forwards_two_backwards():
+# (forwards, backwards) per step. PGD-AT: 7 attack sweeps, one forward to
+# pick the worst restart, one update sweep. slat_fast_ga: the clean sweep,
+# then one forward swept twice (graph mode, then numeric).
+STEP_PASSES = {"standard": (1, 1), "fgsm_at": (2, 2), "fgsm_rs": (2, 2),
+               "pgd_at": (9, 8), "slat": (2, 2), "slat_fast_ga": (2, 3),
+               "fgsm_rs_latent": (3, 3)}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_pass_counts(method):
     x, y = toy_batch(seed=3)
-    m = build_toy_mlp(8, seed=7)
-    spec = TrainSpec(method="slat", epsilon=0.1)
+    m = build_toy_mlp(8, "softplus", seed=7)
+    spec = TrainSpec(method=method, epsilon=0.1)
+    step = getattr(training_mod, f"{method}_step")
     state = init_optimizer(m)
     reset_pass_counts()
-    slat_step(m, x, y, spec, state, lr=0.01)
-    assert pass_counts() == {"forward": 2, "backward": 2}
+    step(m, x, y, spec, state, lr=0.01)
+    forwards, backwards = STEP_PASSES[method]
+    assert pass_counts() == {"forward": forwards, "backward": backwards}
 
 
 def test_slat_perturbed_loss_dominates_clean_on_frozen_linear():
@@ -152,6 +165,23 @@ def test_fast_ga_lambda_zero_matches_slat_loss():
     s2 = init_optimizer(m2)
     loss = slat_step(m2, x, y, spec2, s2, lr=0.0)
     assert float(total.value) == pytest.approx(loss, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [20.0, 25.0, 30.0])
+def test_fast_ga_gradients_finite_for_tiny_gradient_norms(scale):
+    # Saturated output weights shrink the input-gradient norms of confident
+    # examples (to ~1e-90 at 25); the cosine's denominator, the product of two
+    # such norms, underflows to 0 when squared, so the div VJP must not square it.
+    ds = gen_toy(ToySpec(n_per_class=8, seed=0))
+    m = build_toy_mlp(8, "softplus", seed=0)
+    w, s = m.layers[2].arrays["w"], np.sign(m.layers[0].arrays["w"][0])
+    w[:, 0], w[:, 1] = -scale * s, scale * s
+    spec = TrainSpec(method="slat_fast_ga", epsilon=0.1)
+    total, tape = fast_ga_loss(m, ds.xs, ds.ys, spec)
+    backward(tape, total)
+    assert np.isfinite(float(total.value))
+    for node in tape.params.values():
+        assert np.all(np.isfinite(tape.grads[node.idx]))
 
 
 def test_fast_ga_rejects_relu_models():
