@@ -35,11 +35,6 @@ class AttackSpec:
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be > 0")
 
-    def resolved_alpha(self):
-        if self.alpha is not None:
-            return self.alpha
-        return 1.25 * self.epsilon if self.kind == "r_fgsm" else 2 * self.epsilon / 10
-
 
 def input_grad(model, x, y):
     """Per-example input gradients of the summed cross-entropy loss."""
@@ -100,9 +95,8 @@ def run_attack(model, x, y, spec: AttackSpec):
     if spec.kind == "fgsm":
         return fgsm(model, x, y, spec.epsilon, spec.clamp)
     if spec.kind == "r_fgsm":
-        return r_fgsm(model, x, y, spec.epsilon, spec.resolved_alpha(),
-                      spec.clamp, spec.seed)
-    return pgd(model, x, y, spec.epsilon, spec.resolved_alpha(), spec.steps,
+        return r_fgsm(model, x, y, spec.epsilon, spec.alpha, spec.clamp, spec.seed)
+    return pgd(model, x, y, spec.epsilon, spec.alpha, spec.steps,
                spec.restarts, spec.clamp, spec.seed)
 
 

@@ -23,7 +23,7 @@ from . import models as models_mod
 from . import training
 from .attacks import AttackSpec
 from .config import (ParseError, ValidationError, build_datasets, build_model,
-                     eval_settings, parse_config)
+                     parse_config)
 
 _OVERRIDE_RE = re.compile(r"^--([a-z_]+\.[a-z_]+)=(.*)$")
 
@@ -36,7 +36,6 @@ def run(cfg, ckpt=None, eval_only=False):
 
     train_ds, test_ds = build_datasets(cfg)
     model = build_model(cfg)
-    cfg.train.augment_pad = cfg.data.augment_pad
     if ckpt:
         models_mod.load_into(model, models_mod.load_checkpoint(ckpt))
 
@@ -48,7 +47,7 @@ def run(cfg, ckpt=None, eval_only=False):
         try:
             training.train(model, train_ds, cfg.train,
                            sinks=(writer, records.append),
-                           eval_data=test_ds, eval_settings=eval_settings(cfg))
+                           eval_data=test_ds, eval_settings=cfg.eval)
         except training.NonFiniteGradient as exc:
             aborted = str(exc)
         finally:
@@ -56,11 +55,11 @@ def run(cfg, ckpt=None, eval_only=False):
     elif os.path.exists(os.path.join(out, "metrics.csv")):
         records = metrics_mod.read_metrics_csv(os.path.join(out, "metrics.csv"))
 
-    eps = cfg.eval.epsilon if cfg.eval.epsilon is not None else cfg.train.epsilon
-    attack = AttackSpec(kind="pgd", epsilon=eps, alpha=cfg.eval.alpha,
-                        steps=cfg.eval.steps, restarts=cfg.eval.restarts,
-                        clamp=test_ds.input_scale, seed=cfg.eval.seed)
-    eval_subset = training.eval_subset(test_ds, cfg.eval.n_eval, cfg.seed)
+    ev = cfg.eval
+    attack = AttackSpec(kind="pgd", epsilon=ev.epsilon, alpha=ev.alpha,
+                        steps=ev.attack_steps, restarts=ev.attack_restarts,
+                        clamp=test_ds.input_scale, seed=ev.seed)
+    eval_subset = training.eval_subset(test_ds, ev.n_eval, cfg.seed)
 
     summary = {
         "method": cfg.train.method,
@@ -69,18 +68,18 @@ def run(cfg, ckpt=None, eval_only=False):
         "steps_per_epoch": steps_per_epoch,
         "clean_acc": metrics_mod.accuracy(model, eval_subset.xs, eval_subset.ys),
         "robust_acc": metrics_mod.robust_accuracy(model, eval_subset, attack),
-        "attack": {"kind": "pgd", "epsilon": eps, "steps": cfg.eval.steps,
-                   "restarts": cfg.eval.restarts},
+        "attack": {"kind": "pgd", "epsilon": ev.epsilon, "steps": ev.attack_steps,
+                   "restarts": ev.attack_restarts},
         "aborted": aborted,
     }
-    window = cfg.eval.co_window or 2 * steps_per_epoch
+    window = ev.co_window or 2 * steps_per_epoch
     summary["co_step"] = metrics_mod.detect_catastrophic_overfitting(
         records, window) if records else None
     if model.input_shape == (2,) and model.n_classes == 2:
         summary["boundary_ratio"] = metrics_mod.boundary_nonrobust_ratio(model)
 
     if cfg.output.save_landscape and aborted is None:
-        _save_landscape(cfg, model, eval_subset, eps)
+        _save_landscape(cfg, model, eval_subset)
     if cfg.output.save_checkpoint and not eval_only:
         models_mod.save_checkpoint(model, os.path.join(out, "final.ckpt"))
 
@@ -91,10 +90,10 @@ def run(cfg, ckpt=None, eval_only=False):
     return 2 if aborted else 0
 
 
-def _save_landscape(cfg, model, dataset, eps):
+def _save_landscape(cfg, model, dataset):
     """Loss landscape over the first 64 examples, as landscape_<method>.csv."""
     sample = dataset.subset(np.arange(min(64, len(dataset))))
-    grid = metrics_mod.loss_landscape(model, sample.xs, sample.ys, eps,
+    grid = metrics_mod.loss_landscape(model, sample.xs, sample.ys, cfg.eval.epsilon,
                                       n=cfg.eval.landscape_n, seed=cfg.eval.seed)
     path = os.path.join(cfg.output.dir, f"landscape_{cfg.train.method}.csv")
     metrics_mod.save_landscape_csv(grid, path)
@@ -232,10 +231,8 @@ def main(argv=None):
             _, test_ds = build_datasets(cfg)
             model = build_model(cfg)
             models_mod.load_into(model, models_mod.load_checkpoint(args.ckpt))
-            eps = (cfg.eval.epsilon if cfg.eval.epsilon is not None
-                   else cfg.train.epsilon)
             os.makedirs(cfg.output.dir, exist_ok=True)
-            print(_save_landscape(cfg, model, test_ds, eps))
+            print(_save_landscape(cfg, model, test_ds))
             return 0
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

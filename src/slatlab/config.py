@@ -7,7 +7,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -25,20 +26,6 @@ class ValidationError(Exception):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
-
-ALLOWED_KEYS = {
-    "run": {"seed"},
-    "model": {"zoo", "hidden", "activation", "classes", "in_shape", "k", "eta"},
-    "data": {"kind", "n_per_class", "test_n_per_class", "mu", "sigma",
-             "train_images", "train_labels", "test_images", "test_labels",
-             "limit", "augment_pad"},
-    "train": {"method", "epochs", "batch", "lr_max", "momentum",
-              "weight_decay", "epsilon", "checkpoint_every", "lambda_ga",
-              "peak_fraction"},
-    "eval": {"epsilon", "alpha", "steps", "restarts", "n_eval", "align_n",
-             "landscape_n", "co_window", "seed"},
-    "output": {"dir", "save_checkpoint", "save_landscape"},
-}
 
 _ZOO_SITES = {"linear": (0,), "toy_mlp": (0, 1), "small_cnn": (0, 1, 2)}
 
@@ -73,15 +60,29 @@ def _parse_eta(text):
     return out
 
 
+def _parse_ints(text):
+    return tuple(int(t) for t in str(text).split(","))
+
+
+def _parse_shape(text):
+    """'1,28,28' or '1x28x28'."""
+    return _parse_ints(str(text).replace("x", ","))
+
+
+def _parse_numbers(text):
+    return tuple(parse_number(t) for t in str(text).split(","))
+
+
 @dataclass
 class ModelCfg:
     zoo: str = "toy_mlp"
     hidden: int = 16
     activation: str = "relu"
     classes: int = 2
-    in_shape: tuple = (2,)
-    k: tuple | None = None       # None: the zoo model's full site set
-    eta: float | dict | None = None
+    in_shape: tuple = field(default=(2,), metadata={"parse": _parse_shape})
+    # None: the zoo model's full site set
+    k: tuple | None = field(default=None, metadata={"parse": _parse_ints})
+    eta: float | dict | None = field(default=None, metadata={"parse": _parse_eta})
 
 
 @dataclass
@@ -89,27 +90,16 @@ class DataCfg:
     kind: str = "toy"
     n_per_class: int = 500
     test_n_per_class: int = 500
-    mu: tuple = data_mod.DEFAULT_TOY_MU
-    sigma: tuple = data_mod.DEFAULT_TOY_SIGMA
+    mu: tuple = field(default=data_mod.DEFAULT_TOY_MU,
+                      metadata={"parse": _parse_numbers})
+    sigma: tuple = field(default=data_mod.DEFAULT_TOY_SIGMA,
+                         metadata={"parse": _parse_numbers})
     train_images: str = ""
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
     limit: int = 0               # keep only the first N training examples
     augment_pad: int = 0
-
-
-@dataclass
-class EvalCfg:
-    epsilon: float | None = None
-    alpha: float | None = None
-    steps: int = 20
-    restarts: int = 1
-    n_eval: int = 512
-    align_n: int = 128
-    landscape_n: int = 21
-    co_window: int = 0           # 0: two epochs worth of steps
-    seed: int = 9001
 
 
 @dataclass
@@ -125,78 +115,54 @@ class ExperimentConfig:
     model: ModelCfg = field(default_factory=ModelCfg)
     data: DataCfg = field(default_factory=DataCfg)
     train: TrainSpec = field(default_factory=TrainSpec)
-    eval: EvalCfg = field(default_factory=EvalCfg)
+    eval: EvalSettings = field(default_factory=EvalSettings)
     output: OutputCfg = field(default_factory=OutputCfg)
 
 
-_SETTERS = {
-    ("run", "seed"): lambda c, v: setattr(c, "seed", int(v)),
-    ("model", "zoo"): lambda c, v: setattr(c.model, "zoo", v.strip()),
-    ("model", "hidden"): lambda c, v: setattr(c.model, "hidden", int(v)),
-    ("model", "activation"): lambda c, v: setattr(c.model, "activation", v.strip()),
-    ("model", "classes"): lambda c, v: setattr(c.model, "classes", int(v)),
-    ("model", "in_shape"): lambda c, v: setattr(
-        c.model, "in_shape", tuple(int(t) for t in v.replace("x", ",").split(","))),
-    ("model", "k"): lambda c, v: setattr(
-        c.model, "k", tuple(int(t) for t in v.split(","))),
-    ("model", "eta"): lambda c, v: setattr(c.model, "eta", _parse_eta(v)),
-    ("data", "kind"): lambda c, v: setattr(c.data, "kind", v.strip()),
-    ("data", "n_per_class"): lambda c, v: setattr(c.data, "n_per_class", int(v)),
-    ("data", "test_n_per_class"): lambda c, v: setattr(
-        c.data, "test_n_per_class", int(v)),
-    ("data", "mu"): lambda c, v: setattr(
-        c.data, "mu", tuple(parse_number(t) for t in v.split(","))),
-    ("data", "sigma"): lambda c, v: setattr(
-        c.data, "sigma", tuple(parse_number(t) for t in v.split(","))),
-    ("data", "train_images"): lambda c, v: setattr(c.data, "train_images", v.strip()),
-    ("data", "train_labels"): lambda c, v: setattr(c.data, "train_labels", v.strip()),
-    ("data", "test_images"): lambda c, v: setattr(c.data, "test_images", v.strip()),
-    ("data", "test_labels"): lambda c, v: setattr(c.data, "test_labels", v.strip()),
-    ("data", "limit"): lambda c, v: setattr(c.data, "limit", int(v)),
-    ("data", "augment_pad"): lambda c, v: setattr(c.data, "augment_pad", int(v)),
-    ("train", "method"): lambda c, v: setattr(c.train, "method", v.strip()),
-    ("train", "epochs"): lambda c, v: setattr(c.train, "epochs", int(v)),
-    ("train", "batch"): lambda c, v: setattr(c.train, "batch", int(v)),
-    ("train", "lr_max"): lambda c, v: setattr(c.train, "lr_max", parse_number(v)),
-    ("train", "momentum"): lambda c, v: setattr(c.train, "momentum", parse_number(v)),
-    ("train", "weight_decay"): lambda c, v: setattr(
-        c.train, "weight_decay", parse_number(v)),
-    ("train", "epsilon"): lambda c, v: setattr(c.train, "epsilon", parse_number(v)),
-    ("train", "checkpoint_every"): lambda c, v: setattr(
-        c.train, "checkpoint_every", int(v)),
-    ("train", "lambda_ga"): lambda c, v: setattr(
-        c.train, "lambda_ga", parse_number(v)),
-    ("train", "peak_fraction"): lambda c, v: setattr(
-        c.train, "peak_fraction", parse_number(v)),
-    ("eval", "epsilon"): lambda c, v: setattr(c.eval, "epsilon", parse_number(v)),
-    ("eval", "alpha"): lambda c, v: setattr(c.eval, "alpha", parse_number(v)),
-    ("eval", "steps"): lambda c, v: setattr(c.eval, "steps", int(v)),
-    ("eval", "restarts"): lambda c, v: setattr(c.eval, "restarts", int(v)),
-    ("eval", "n_eval"): lambda c, v: setattr(c.eval, "n_eval", int(v)),
-    ("eval", "align_n"): lambda c, v: setattr(c.eval, "align_n", int(v)),
-    ("eval", "landscape_n"): lambda c, v: setattr(c.eval, "landscape_n", int(v)),
-    ("eval", "co_window"): lambda c, v: setattr(c.eval, "co_window", int(v)),
-    ("eval", "seed"): lambda c, v: setattr(c.eval, "seed", int(v)),
-    ("output", "dir"): lambda c, v: setattr(c.output, "dir", v.strip()),
-    ("output", "save_checkpoint"): lambda c, v: setattr(
-        c.output, "save_checkpoint", _parse_bool(v)),
-    ("output", "save_landscape"): lambda c, v: setattr(
-        c.output, "save_landscape", _parse_bool(v)),
-}
+_PARSERS = {int: int, float: parse_number, str: str.strip, bool: _parse_bool}
+
+
+def _keys(cls):
+    """INI key -> (field name, parser) for the scalar fields of a dataclass.
+
+    A key is named after its field unless the field's metadata gives an
+    "ini" name (None: not a key). Its parser is the metadata's "parse" or
+    the one for the field's type, with `| None` dropped.
+    """
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        key = f.metadata.get("ini", f.name)
+        if key is None or is_dataclass(f.default_factory):
+            continue
+        base = [t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
+                if t is not type(None)]
+        keys[key] = (f.name, f.metadata.get("parse") or _PARSERS[base[0]])
+    return keys
+
+
+# section -> INI key -> (field name, parser); [run] holds ExperimentConfig's
+# own scalar fields, every other section one dataclass field of it.
+_SCHEMA = {"run": _keys(ExperimentConfig),
+           **{f.name: _keys(f.default_factory) for f in fields(ExperimentConfig)
+              if is_dataclass(f.default_factory)}}
 
 
 def _apply(cfg, section, key, value, problems, explicit):
-    if section not in ALLOWED_KEYS:
+    if section not in _SCHEMA:
         problems.append(f"unknown section [{section}]")
         return
-    if key not in ALLOWED_KEYS[section]:
+    if key not in _SCHEMA[section]:
         problems.append(f"unknown key {section}.{key}")
         return
+    name, parse = _SCHEMA[section][key]
     try:
-        _SETTERS[(section, key)](cfg, value)
-        explicit.add((section, key))
-    except (ValueError, KeyError) as exc:
+        parsed = parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
         problems.append(f"{section}.{key}: bad value {value!r} ({exc})")
+        return
+    setattr(cfg if section == "run" else getattr(cfg, section), name, parsed)
+    explicit.add((section, key))
 
 
 def parse_config(path=None, overrides=None):
@@ -204,7 +170,10 @@ def parse_config(path=None, overrides=None):
 
     Overrides ({'train.epsilon': '0.1'}) are applied after the file values.
     Raises ParseError on unreadable syntax and ValidationError listing every
-    violated constraint at once.
+    violated constraint at once. The derived values are resolved here and
+    nowhere else: `train.seed` (run.seed), `train.augment_pad`
+    (data.augment_pad), `train.eta` (model.eta as a site -> step dict) and
+    `eval.epsilon` (train.epsilon unless set).
     """
     cfg = ExperimentConfig()
     problems = []
@@ -235,9 +204,12 @@ def parse_config(path=None, overrides=None):
     if problems:
         raise ValidationError(problems)
     cfg.train.seed = cfg.seed
+    cfg.train.augment_pad = cfg.data.augment_pad
     eta = cfg.model.eta
     cfg.train.eta = (dict(eta) if isinstance(eta, dict)
                      else {k: eta for k in _sites(cfg)})
+    if cfg.eval.epsilon is None:
+        cfg.eval.epsilon = cfg.train.epsilon
     return cfg
 
 
@@ -250,7 +222,7 @@ def _fill_defaults(cfg, explicit):
     toy = cfg.data.kind == "toy"
     if ("train", "epsilon") not in explicit:
         cfg.train.epsilon = 0.1 if toy else 8 / 255
-    if ("model", "eta") not in explicit and cfg.model.eta is None:
+    if cfg.model.eta is None:
         cfg.model.eta = cfg.train.epsilon
     if toy and ("model", "zoo") not in explicit:
         cfg.model.zoo = "toy_mlp"
@@ -286,10 +258,17 @@ def _validate(cfg):
                 f"model.eta: per-site steps must cover exactly the sites "
                 f"{sorted(sites)}; missing {sorted(sites - set(eta))}, "
                 f"unknown {sorted(set(eta) - sites)}")
+    if cfg.model.hidden < 1:
+        problems.append("model.hidden must be >= 1")
     if cfg.model.activation not in ("relu", "softplus"):
         problems.append(f"model.activation: {cfg.model.activation!r}")
     if cfg.data.kind not in ("toy", "idx"):
         problems.append(f"data.kind: {cfg.data.kind!r}")
+    if cfg.data.kind == "toy":
+        if cfg.data.n_per_class < 1 or cfg.data.test_n_per_class < 1:
+            problems.append("data.n_per_class and data.test_n_per_class must be >= 1")
+        if not all(math.isfinite(s) and s > 0 for s in cfg.data.sigma):
+            problems.append("data.sigma entries must be finite and > 0")
     if cfg.data.kind == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             p = getattr(cfg.data, key)
@@ -309,10 +288,12 @@ def _validate(cfg):
         problems.append("eval.epsilon must be finite and >= 0")
     if not 0 < cfg.train.peak_fraction < 1:
         problems.append("train.peak_fraction must be in (0, 1)")
-    if cfg.eval.steps < 1 or cfg.eval.restarts < 1:
+    if cfg.eval.attack_steps < 1 or cfg.eval.attack_restarts < 1:
         problems.append("eval.steps and eval.restarts must be >= 1")
     if cfg.eval.n_eval < 1 or cfg.eval.align_n < 1:
         problems.append("eval.n_eval and eval.align_n must be >= 1")
+    if cfg.eval.landscape_n < 2:
+        problems.append("eval.landscape_n must be >= 2")
     return problems
 
 
@@ -347,9 +328,3 @@ def build_datasets(cfg):
         train = train.subset(np.arange(min(d.limit, len(train))))
     return train, test
 
-
-def eval_settings(cfg):
-    e = cfg.eval
-    return EvalSettings(epsilon=e.epsilon, attack_steps=e.steps,
-                        attack_restarts=e.restarts, alpha=e.alpha,
-                        n_eval=e.n_eval, align_n=e.align_n, seed=e.seed)

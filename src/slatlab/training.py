@@ -35,12 +35,14 @@ class TrainSpec:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     epsilon: float = 8 / 255
-    eta: dict | None = None        # site -> step; None means epsilon at every site
+    # site -> step; None means epsilon at every site. {"ini": None}: not an
+    # INI key, config.parse_config derives it (as it does seed, augment_pad).
+    eta: dict | None = field(default=None, metadata={"ini": None})
     lambda_ga: float = 1.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"ini": None})
     checkpoint_every: int = 0      # 0: once per epoch
     peak_fraction: float = 0.4
-    augment_pad: int = 0
+    augment_pad: int = field(default=0, metadata={"ini": None})
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -58,14 +60,18 @@ class TrainSpec:
 
 @dataclass
 class EvalSettings:
-    """Per-checkpoint measurement knobs used by the training harness."""
+    """Measurement knobs: per-checkpoint records, the final robust
+    accuracy, the loss landscape and the overfitting detector. The [eval]
+    INI section."""
     epsilon: float | None = None   # None: the training epsilon
-    attack_steps: int = 20
-    attack_restarts: int = 1
+    attack_steps: int = field(default=20, metadata={"ini": "steps"})
+    attack_restarts: int = field(default=1, metadata={"ini": "restarts"})
     alpha: float | None = None
     n_eval: int = 512
     align_n: int = 128
     seed: int = 9001
+    landscape_n: int = 21
+    co_window: int = 0             # 0: two epochs worth of steps
 
 
 @dataclass
@@ -165,11 +171,22 @@ def fast_ga_loss(model, x, y, spec, clamp=None):
     adjoints = backward(tape, adv_loss, as_graph=True)
     g_adv = adjoints[tape.input.idx]
 
-    gc = tape.leaf(g_clean)
-    gc_norm = tape.leaf(np.linalg.norm(g_clean.reshape(len(x), -1), axis=1))
-    num = tape.record("rows_dot", [gc, g_adv])
-    ga_norm = tape.record("sqrt", [tape.record("rows_dot", [g_adv, g_adv])])
-    cos = tape.record("div", [num, tape.record("mul", [gc_norm, ga_norm])])
+    # A row with a zero gradient norm takes metrics._row_cosines' convention
+    # as a constant with no gradient: cosine 1 if both norms are 0, 0 if one
+    # is. Its g_adv is masked to 0 and its norms offset to 1; every other row
+    # is multiplied by 1 and offset by 0, which leaves its floats unchanged.
+    gc_norm = np.linalg.norm(g_clean.reshape(len(x), -1), axis=1)
+    zero_c = gc_norm == 0
+    zero_a = (g_adv.value * g_adv.value).sum(axis=1) == 0
+    degenerate = (zero_c | zero_a).astype(np.float64)
+    g_adv = tape.record("mul", [g_adv, tape.leaf(np.ones_like(g_adv.value)
+                                                 * (1.0 - degenerate)[:, None])])
+    num = tape.record("rows_dot", [tape.leaf(g_clean), g_adv])
+    ga_sq = tape.record("rows_dot", [g_adv, g_adv])
+    ga_norm = tape.record("sqrt", [tape.record("add", [ga_sq, tape.leaf(degenerate)])])
+    den = tape.record("mul", [tape.leaf(gc_norm + degenerate), ga_norm])
+    cos = tape.record("add", [tape.record("div", [num, den]),
+                              tape.leaf((zero_c & zero_a).astype(np.float64))])
     omega = tape.record("mean_all", [cos])
     penalty = tape.record("scale",
                           [tape.record("sub", [tape.leaf(1.0), omega])],

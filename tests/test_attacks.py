@@ -61,10 +61,16 @@ def test_rfgsm_identity_at_zero_eps_and_determinism():
 
 
 def test_attack_spec_defaults_and_validation():
-    assert AttackSpec(kind="r_fgsm", epsilon=8 / 255).resolved_alpha() == \
-        pytest.approx(1.25 * 8 / 255)
-    assert AttackSpec(kind="pgd", epsilon=0.1, steps=7).resolved_alpha() == \
-        pytest.approx(0.02)
+    m = build_toy_mlp(4, seed=5)
+    x = np.random.default_rng(5).normal(size=(6, 2))
+    y = np.array([0, 1, 0, 1, 1, 0])
+    eps = 8 / 255
+    for kind, steps, alpha in (("r_fgsm", 1, 1.25 * eps), ("pgd", 7, 2 * eps / 10)):
+        def attack(a):
+            spec = AttackSpec(kind=kind, epsilon=eps, alpha=a, steps=steps, seed=3)
+            return run_attack(m, x, y, spec)
+        assert np.array_equal(attack(None), attack(alpha))
+        assert not np.array_equal(attack(None), attack(alpha / 2))
     with pytest.raises(ValueError):
         AttackSpec(kind="pgd", epsilon=-1.0)
     with pytest.raises(ValueError):

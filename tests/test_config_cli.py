@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slatlab.cli import main, run
-from slatlab.config import (ParseError, ValidationError, build_datasets,
+from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets,
                             build_model, parse_config, parse_number)
 from slatlab.data import write_idx_images, write_idx_labels
 from slatlab.metrics import read_metrics_csv
@@ -34,6 +36,96 @@ def write_cfg(tmp_path, text=FAST_TOY, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# Every accepted section.key, with one text value and what it parses to.
+ONE_VALUE_PER_KEY = {
+    "run.seed": (" 7 ", 7),
+    "model.zoo": (" linear ", "linear"),
+    "model.hidden": ("3", 3),
+    "model.activation": ("softplus", "softplus"),
+    "model.classes": ("3", 3),
+    "model.in_shape": ("1x28x28", (1, 28, 28)),
+    "model.k": ("1", (1,)),
+    "model.eta": ("0:1/8,1:0.5", {0: 0.125, 1: 0.5}),
+    "data.kind": ("toy ", "toy"),
+    "data.n_per_class": ("5", 5),
+    "data.test_n_per_class": ("6", 6),
+    "data.mu": ("1/2,0.25", (0.5, 0.25)),
+    "data.sigma": ("0.5,1/4", (0.5, 0.25)),
+    "data.train_images": (" a.idx", "a.idx"),
+    "data.train_labels": ("b.idx", "b.idx"),
+    "data.test_images": ("c.idx", "c.idx"),
+    "data.test_labels": ("d.idx", "d.idx"),
+    "data.limit": ("9", 9),
+    "data.augment_pad": ("2", 2),
+    "train.method": ("fgsm_at", "fgsm_at"),
+    "train.epochs": ("4", 4),
+    "train.batch": ("8", 8),
+    "train.lr_max": ("1/4", 0.25),
+    "train.momentum": ("0.5", 0.5),
+    "train.weight_decay": ("0", 0.0),
+    "train.epsilon": ("8/255", 8 / 255),
+    "train.checkpoint_every": ("3", 3),
+    "train.lambda_ga": ("2", 2.0),
+    "train.peak_fraction": ("0.5", 0.5),
+    "eval.epsilon": ("0.2", 0.2),
+    "eval.alpha": ("0.01", 0.01),
+    "eval.steps": ("5", 5),
+    "eval.restarts": ("2", 2),
+    "eval.n_eval": ("10", 10),
+    "eval.align_n": ("4", 4),
+    "eval.seed": ("11", 11),
+    "eval.landscape_n": ("3", 3),
+    "eval.co_window": ("6", 6),
+    "output.dir": ("runs ", "runs"),
+    "output.save_checkpoint": ("no", False),
+    "output.save_landscape": ("OFF", False),
+}
+FIELD_NAMES = {"eval.steps": "attack_steps", "eval.restarts": "attack_restarts"}
+
+
+def test_schema_keys_and_their_fields():
+    accepted = {f"{section}.{key}" for section, keys in _SCHEMA.items()
+                for key in keys}
+    assert accepted == set(ONE_VALUE_PER_KEY) and len(accepted) == 41
+    for dotted, (text, want) in ONE_VALUE_PER_KEY.items():
+        cfg = parse_config(None, {dotted: text})
+        section, key = dotted.split(".")
+        owner = cfg if section == "run" else getattr(cfg, section)
+        assert getattr(owner, FIELD_NAMES.get(dotted, key)) == want, dotted
+    for derived in ("train.seed", "train.eta", "train.augment_pad"):
+        with pytest.raises(ValidationError, match=f"unknown key {derived}"):
+            parse_config(None, {derived: "1"})
+
+
+def test_parse_config_resolves_derived_values():
+    cfg = parse_config(None, {"run.seed": "4", "data.augment_pad": "2",
+                              "train.epsilon": "0.3"})
+    assert (cfg.train.seed, cfg.train.augment_pad) == (4, 2)
+    assert cfg.eval.epsilon == 0.3 and cfg.train.eta == {0: 0.3, 1: 0.3}
+    cfg = parse_config(None, {"eval.epsilon": "0.05"})
+    assert (cfg.eval.epsilon, cfg.train.epsilon) == (0.05, pytest.approx(0.1))
+
+
+# Numbers and separators as the parsers split them, so that most examples
+# get past the first parse; arbitrary text covers the rest.
+ATOMS = st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "1e999", "x", ""])
+SEPARATORS = st.sampled_from(["/", ":", ",", "x", " "])
+VALUES = st.one_of(
+    st.builds(lambda *parts: "".join(parts), ATOMS, SEPARATORS, ATOMS),
+    st.lists(st.one_of(ATOMS, SEPARATORS), max_size=7).map("".join),
+    st.text())
+
+
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(ONE_VALUE_PER_KEY)), value=VALUES)
+def test_parse_config_raises_only_its_own_errors(key, value):
+    try:
+        parse_config(None, {key: value})
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_parse_number_fractions():
@@ -87,7 +179,10 @@ def test_validation_reports_all_problems():
     assert "train.method" in text and "model.activation" in text
     bad = {"eval.n_eval": "0", "eval.align_n": "0", "train.epsilon": "nan",
            "eval.epsilon": "inf", "train.lr_max": "nan", "model.eta": "-0.1"}
-    for overrides in [bad] + [{k: v} for k, v in bad.items()]:
+    bad_too = {"train.epsilon": "1/0", "model.eta": "0:1/0", "data.sigma": "0,0",
+               "data.n_per_class": "0", "model.hidden": "0", "eval.landscape_n": "1"}
+    for overrides in [bad, bad_too] + [{k: v} for d in (bad, bad_too)
+                                       for k, v in d.items()]:
         with pytest.raises(ValidationError) as err:
             parse_config(None, overrides)
         assert all(key in str(err.value) for key in overrides)
@@ -188,10 +283,13 @@ def test_cli_train_and_exit_codes(tmp_path, capsys):
     assert main(["train", "--config", path, "--train.method=bogus"]) == 1
     assert main(["train", "--config", path, "--out", str(tmp_path / "eta_out"),
                  "--model.eta=0:0.1"]) == 1
+    assert main(["train", "--config", path, "--out", str(tmp_path / "div_out"),
+                 "--train.epsilon=1/0"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(e.startswith("config error:") for e in err)
+    assert len(err) == 3 and all(e.startswith("config error:") for e in err)
     assert "model.eta" in err[1] and "missing [1]" in err[1]
-    assert not (tmp_path / "eta_out").exists()
+    assert "train.epsilon" in err[2] and "division by zero" in err[2]
+    assert not (tmp_path / "eta_out").exists() and not (tmp_path / "div_out").exists()
     assert main(["eval", "--config", path, "--out", out,
                  "--ckpt", os.path.join(out, "final.ckpt")]) == 0
 

@@ -5,8 +5,9 @@ from slatlab import training as training_mod
 from slatlab.autodiff import (UnsupportedOps, backward, pass_counts,
                               reset_pass_counts)
 from slatlab.data import ToySpec, gen_toy
-from slatlab.metrics import mean_xent, read_metrics_csv, write_metrics_csv
-from slatlab.models import build_linear, build_toy_mlp
+from slatlab.metrics import (_row_cosines, mean_xent, read_metrics_csv,
+                             write_metrics_csv)
+from slatlab.models import build_linear, build_toy_mlp, loss_grads
 from slatlab.training import (METHODS, EvalSettings, NonFiniteGradient,
                               TrainSpec, cyclic_lr, fast_ga_loss, fgsm_at_step,
                               init_optimizer, sgd_update, slat_fast_ga_step,
@@ -167,19 +168,29 @@ def test_fast_ga_lambda_zero_matches_slat_loss():
     assert float(total.value) == pytest.approx(loss, abs=1e-12)
 
 
-@pytest.mark.parametrize("scale", [20.0, 25.0, 30.0])
+ZERO_CLEAN_ROWS = {20.0: 0, 25.0: 0, 30.0: 0, 50.0: 1, 60.0: 3}
+
+
+@pytest.mark.parametrize("scale", sorted(ZERO_CLEAN_ROWS))
 def test_fast_ga_gradients_finite_for_tiny_gradient_norms(scale):
     # Saturated output weights shrink the input-gradient norms of confident
     # examples (to ~1e-90 at 25); the cosine's denominator, the product of two
-    # such norms, underflows to 0 when squared, so the div VJP must not square it.
+    # such norms, underflows to 0 when squared, so the div VJP must not square
+    # it. From 50 some clean gradient norms are 0 themselves: those rows take
+    # metrics._row_cosines' zero-norm convention as constants.
     ds = gen_toy(ToySpec(n_per_class=8, seed=0))
     m = build_toy_mlp(8, "softplus", seed=0)
     w, s = m.layers[2].arrays["w"], np.sign(m.layers[0].arrays["w"][0])
     w[:, 0], w[:, 1] = -scale * s, scale * s
     spec = TrainSpec(method="slat_fast_ga", epsilon=0.1)
+    x_in, deltas, g_clean = training_mod._slat_inputs(m, ds.xs, ds.ys, spec, None)
+    assert (np.linalg.norm(g_clean, axis=1) == 0).sum() == ZERO_CLEAN_ROWS[scale]
+    adv_loss, adv = loss_grads(m, x_in, ds.ys, deltas, reduction="mean")
+    cosines = _row_cosines(g_clean, adv.grads[adv.input.idx])
     total, tape = fast_ga_loss(m, ds.xs, ds.ys, spec)
+    assert float(total.value) == pytest.approx(
+        float(adv_loss.value) + spec.lambda_ga * (1 - cosines.mean()), rel=1e-12)
     backward(tape, total)
-    assert np.isfinite(float(total.value))
     for node in tape.params.values():
         assert np.all(np.isfinite(tape.grads[node.idx]))
 
