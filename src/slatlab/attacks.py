@@ -38,7 +38,7 @@ class AttackSpec:
 
 def input_grad(model, x, y):
     """Per-example input gradients of the summed cross-entropy loss."""
-    _, tape = loss_grads(model, x, y)
+    _, tape = loss_grads(model, x, y, wrt="inputs")
     return tape.grads[tape.input.idx]
 
 
@@ -118,5 +118,5 @@ def latent_deltas(model, x, y, eta, K=None):
 
     `eta` maps each site in K (default: all of the model's sites) to its step.
     """
-    _, tape = loss_grads(model, x, y)
+    _, tape = loss_grads(model, x, y, wrt="inputs")
     return deltas_from_tape(tape, model.K if K is None else sorted(K), eta)

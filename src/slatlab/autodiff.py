@@ -119,8 +119,10 @@ class Tape:
         self.nodes = []
         self.sites = {}      # site id -> node idx
         self.grads = {}      # node idx -> ndarray, filled by backward()
+        self.skip = ()       # node idxs whose gradients backward() skips
         self.input = None    # set by model forward helpers
         self.params = {}     # param name -> Node, set by model forward helpers
+        self.stem = None     # idx of the node feeding the first parametric op
 
     def leaf(self, value):
         node = Node(len(self.nodes), "leaf", (), _as_f64(value))
@@ -175,7 +177,8 @@ def _fwd_conv2d(values, params):
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * w, c * kh * kw)
     out = cols @ k.reshape(f, -1).T
-    out = out.reshape(bsz, h, w, f).transpose(0, 3, 1, 2) + b[None, :, None, None]
+    out += b
+    out = out.reshape(bsz, h, w, f).transpose(0, 3, 1, 2)
     return np.ascontiguousarray(out), {"cols": cols}
 
 
@@ -191,12 +194,11 @@ def _fwd_maxpool(values, params):
     x = values[0]
     if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeMismatch("maxpool2x2", "x[B,C,2m,2n]", x.shape)
-    bsz, c, h, w = x.shape
-    win = x.reshape(bsz, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(bsz, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, {"idx": idx}
+    # np.maximum propagates NaN, so a NaN window gives a NaN output
+    out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
+    np.maximum(out, x[:, :, 1::2, 1::2], out=out)
+    return out, None
 
 
 def _fwd_flatten(values, params):
@@ -341,23 +343,30 @@ _FORWARD = {
 
 
 # ---------------------------------------------------------------------------
-# numeric VJPs: given upstream gradient g (ndarray), return per-input grads
+# numeric VJPs: given upstream gradient g (ndarray), return per-input grads;
+# dense and conv2d return None for an input in tape.skip
 
 def _vjp_dense(tape, node, g):
-    x, w, _ = (tape.nodes[i].value for i in node.inputs)
-    if x.ndim == 1:
-        return [g @ w.T, np.outer(x, g), g]
-    return [g @ w.T, x.T @ g, g.sum(axis=0)]
+    xi, wi, bi = node.inputs
+    x, w = tape.nodes[xi].value, tape.nodes[wi].value
+    skip, rank1 = tape.skip, x.ndim == 1
+    return [None if xi in skip else g @ w.T,
+            None if wi in skip else np.outer(x, g) if rank1 else x.T @ g,
+            None if bi in skip else g if rank1 else g.sum(axis=0)]
 
 
 def _vjp_conv2d(tape, node, g):
-    x, k, _ = (tape.nodes[i].value for i in node.inputs)
+    xi, ki, bi = node.inputs
+    x, k = tape.nodes[xi].value, tape.nodes[ki].value
     f, c, kh, kw = k.shape
     bsz, _, h, w = x.shape
     p = kh // 2
     g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * h * w, f)
-    cols = node.meta["cols"]
-    gk = (cols.T @ g2).T.reshape(f, c, kh, kw)
+    skip = tape.skip
+    gk = None if ki in skip else (node.meta["cols"].T @ g2).T.reshape(f, c, kh, kw)
+    gb = None if bi in skip else g.sum(axis=(0, 2, 3))
+    if xi in skip:
+        return [None, gk, gb]
     # scatter in channels-last layout so every slice-add is contiguous
     dwin = (g2 @ k.reshape(f, -1)).reshape(bsz, h, w, c, kh, kw)
     gxp = np.zeros((bsz, h + 2 * p, w + 2 * p, c))
@@ -365,7 +374,7 @@ def _vjp_conv2d(tape, node, g):
         for j in range(kw):
             gxp[:, i:i + h, j:j + w, :] += dwin[:, :, :, :, i, j]
     gx = gxp[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2)
-    return [np.ascontiguousarray(gx), gk, g.sum(axis=(0, 2, 3))]
+    return [np.ascontiguousarray(gx), gk, gb]
 
 
 def _vjp_relu(tape, node, g):
@@ -378,14 +387,30 @@ def _vjp_softplus(tape, node, g):
     return [g * sigmoid(x)]
 
 
+_POOL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _vjp_maxpool(tape, node, g):
+    """Each output gradient goes to the first maximum of its window, in
+    _POOL_ORDER (argmax's tie rule); every other position gets +0.0."""
     x = tape.nodes[node.inputs[0]].value
-    bsz, c, h, w = x.shape
-    idx = node.meta["idx"]
-    gwin = np.zeros((bsz, c, h // 2, w // 2, 4))
-    np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-    gwin = gwin.reshape(bsz, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return [gwin.reshape(bsz, c, h, w)]
+    out = node.value
+    gx = np.empty_like(x)
+    # g's bits AND 0 or all-ones: np.where(first, g, 0.0) with no temporary
+    g_bits = np.ascontiguousarray(g, dtype=np.float64).view(np.int64)
+    gx_bits = gx.view(np.int64)
+    keep = np.empty(out.shape, np.int64)
+    free = np.ones(out.shape, bool)     # windows whose maximum is not yet placed
+    first = np.empty(out.shape, bool)
+    for i, j in _POOL_ORDER[:-1]:
+        np.equal(x[:, :, i::2, j::2], out, out=first)
+        first &= free
+        free ^= first
+        np.negative(first, out=keep, dtype=np.int64, casting="unsafe")
+        np.bitwise_and(g_bits, keep, out=gx_bits[:, :, i::2, j::2])
+    np.negative(free, out=keep, dtype=np.int64, casting="unsafe")
+    np.bitwise_and(g_bits, keep, out=gx_bits[:, :, 1::2, 1::2])
+    return [gx]
 
 
 def _vjp_flatten(tape, node, g):
@@ -535,16 +560,20 @@ _GRAPH_VJPS = {
 }
 
 
-def backward(tape, loss, as_graph=False):
+def backward(tape, loss, as_graph=False, skip=()):
     """One reverse sweep from a scalar loss node.
 
     Numeric mode fills tape.grads (node idx -> ndarray) and returns it.
     Graph mode appends the adjoint computation to the tape and returns a
     dict node idx -> Node, enabling gradients of gradient expressions.
+    In numeric mode, the dense and conv2d rules compute no gradient for a
+    node idx in `skip`, so nothing flows into or through it; every other
+    gradient gets the same contributions in the same order as a full sweep.
     """
     if loss.value.shape != ():
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
     _pass_counts["backward"] += 1
+    tape.skip = skip
 
     if as_graph:
         seed = tape.leaf(1.0)

@@ -2,7 +2,8 @@
 
 Every run writes metrics.csv, final.ckpt, landscape_<method>.csv and
 summary.json into its output directory; exit codes are 0 (success),
-1 (config error), 2 (aborted on a non-finite gradient).
+1 (config error, or a toy run whose decision boundary is degenerate),
+2 (aborted on a non-finite gradient).
 """
 
 from __future__ import annotations
@@ -29,7 +30,16 @@ _OVERRIDE_RE = re.compile(r"^--([a-z_]+\.[a-z_]+)=(.*)$")
 
 
 def run(cfg, ckpt=None, eval_only=False):
-    """Train (unless eval_only) and summarize one experiment. Returns exit code."""
+    """Train (unless eval_only) and summarize one experiment. Returns exit code.
+
+    A diverged run is reported by its exit code, summary.json and at most
+    one stderr line, so numpy's floating-point warnings are off inside it.
+    """
+    with np.errstate(all="ignore"):
+        return _run(cfg, ckpt, eval_only)
+
+
+def _run(cfg, ckpt, eval_only):
     out = cfg.output.dir
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
@@ -75,8 +85,13 @@ def run(cfg, ckpt=None, eval_only=False):
     window = ev.co_window or 2 * steps_per_epoch
     summary["co_step"] = metrics_mod.detect_catastrophic_overfitting(
         records, window) if records else None
+    degenerate = None
     if model.input_shape == (2,) and model.n_classes == 2:
-        summary["boundary_ratio"] = metrics_mod.boundary_nonrobust_ratio(model)
+        try:
+            summary["boundary_ratio"] = metrics_mod.boundary_nonrobust_ratio(model)
+        except metrics_mod.DegenerateBoundary as exc:
+            summary["boundary_ratio"] = None
+            degenerate = str(exc)
 
     if cfg.output.save_landscape and aborted is None:
         _save_landscape(cfg, model, eval_subset)
@@ -85,9 +100,11 @@ def run(cfg, ckpt=None, eval_only=False):
 
     summary["wall_clock_sec"] = time.perf_counter() - t0
     with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    return 2 if aborted else 0
+    if degenerate:
+        print(f"degenerate decision boundary: {degenerate}", file=sys.stderr)
+    return 2 if aborted else 1 if degenerate else 0
 
 
 def _save_landscape(cfg, model, dataset):

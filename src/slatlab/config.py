@@ -267,8 +267,16 @@ def _validate(cfg):
     if cfg.data.kind == "toy":
         if cfg.data.n_per_class < 1 or cfg.data.test_n_per_class < 1:
             problems.append("data.n_per_class and data.test_n_per_class must be >= 1")
-        if not all(math.isfinite(s) and s > 0 for s in cfg.data.sigma):
-            problems.append("data.sigma entries must be finite and > 0")
+        if len(cfg.data.mu) != 2 or not all(map(math.isfinite, cfg.data.mu)):
+            problems.append("data.mu must be 2 finite numbers")
+        if len(cfg.data.sigma) != 2 or not all(
+                math.isfinite(s) and s > 0 for s in cfg.data.sigma):
+            problems.append("data.sigma must be 2 finite numbers > 0")
+        if cfg.data.augment_pad:
+            problems.append("data.augment_pad must be 0 on the toy task "
+                            "(it pads images)")
+    if cfg.data.augment_pad < 0 or cfg.data.limit < 0:
+        problems.append("data.augment_pad and data.limit must be >= 0")
     if cfg.data.kind == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             p = getattr(cfg.data, key)
@@ -284,6 +292,17 @@ def _validate(cfg):
         problems.append("train.lr_max must be finite and > 0")
     if not _finite_nonneg(cfg.train.epsilon):
         problems.append("train.epsilon must be finite and >= 0")
+    if not 0 <= cfg.train.momentum < 1:
+        problems.append("train.momentum must be in [0, 1)")
+    if not _finite_nonneg(cfg.train.weight_decay):
+        problems.append("train.weight_decay must be finite and >= 0")
+    if not _finite_nonneg(cfg.train.lambda_ga):
+        problems.append("train.lambda_ga must be finite and >= 0")
+    if cfg.train.checkpoint_every < 0 or cfg.eval.co_window < 0:
+        problems.append("train.checkpoint_every and eval.co_window must be >= 0")
+    if cfg.eval.alpha is not None and not (math.isfinite(cfg.eval.alpha)
+                                           and cfg.eval.alpha > 0):
+        problems.append("eval.alpha must be finite and > 0")
     if cfg.eval.epsilon is not None and not _finite_nonneg(cfg.eval.epsilon):
         problems.append("eval.epsilon must be finite and >= 0")
     if not 0 < cfg.train.peak_fraction < 1:

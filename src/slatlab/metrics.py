@@ -94,7 +94,7 @@ def grad_alignment(model, x, y, epsilon, seed=0):
 def feature_grad_l1(model, x, y, K=None):
     """Per-site mean l1 norm of latent gradients at clean inputs."""
     K = model.K if K is None else sorted(K)
-    _, tape = loss_grads(model, x, y)
+    _, tape = loss_grads(model, x, y, wrt="inputs")
     out = {}
     for k in K:
         g = tape.grads[tape.sites[k]]
@@ -104,7 +104,7 @@ def feature_grad_l1(model, x, y, K=None):
 
 def linear_approx_error(model, x, y, site, eps_vec):
     """|L(h+eps) - L(h) - <grad_h L, eps>| via two forwards and one backward."""
-    loss, tape = loss_grads(model, x, y)
+    loss, tape = loss_grads(model, x, y, wrt="inputs")
     g = tape.grads[tape.sites[site]]
     eps_vec = np.asarray(eps_vec, dtype=np.float64)
     logits_p, _, _ = forward_with_latents(model, x, {site: eps_vec})
@@ -225,6 +225,8 @@ def boundary_nonrobust_ratio(model, xlim=None, ylim=None, n=401, cap=1e6):
         z = forward_logits(model, pts[i:i + 8192])
         margin[i:i + 8192] = z[:, 1] - z[:, 0]
     m = margin.reshape(n, n)   # [x index, y index]
+    if not np.all(np.isfinite(m)):
+        raise DegenerateBoundary("non-finite logit difference on probe grid")
 
     crossings = []
     sgn = np.sign(m)

@@ -77,6 +77,8 @@ def _check_batch(model, x):
 def _apply_layer(tape, layer, cur, layer_idx):
     kind = layer.kind
     if kind in PARAMETRIC:
+        if tape.stem is None:
+            tape.stem = cur.idx
         nodes = []
         for pname, arr in layer.arrays.items():
             pn = tape.leaf(arr)
@@ -119,16 +121,29 @@ def forward_with_latents(model, x, deltas=None):
     return cur, latents, tape
 
 
-def loss_grads(model, x, y, deltas=None, reduction="sum"):
+def loss_grads(model, x, y, deltas=None, reduction="sum", wrt="all"):
     """Cross-entropy of one (optionally injected) forward pass, swept once.
 
-    Returns (loss node, tape); tape.grads then holds the input, every site
-    and every parameter gradient.
+    Returns (loss node, tape). `wrt` names the gradients that land in
+    tape.grads, each bit-identical to the full sweep's:
+    - "all": the input, every site and every parameter;
+    - "inputs": the input and every site, no parameter (attacks, latent
+      deltas, feature gradients);
+    - "params": every parameter and the sites past the first parametric
+      layer, nothing on its input side (the update).
     """
     logits, _, tape = forward_with_latents(model, x, deltas)
     loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
                        reduction=reduction)
-    backward(tape, loss)
+    if wrt == "all":
+        skip = ()
+    elif wrt == "inputs":
+        skip = {node.idx for node in tape.params.values()}
+    elif wrt == "params":
+        skip = (tape.stem,)
+    else:
+        raise ValueError(f"wrt must be 'all', 'inputs' or 'params', got {wrt!r}")
+    backward(tape, loss, False, skip)
     return loss, tape
 
 

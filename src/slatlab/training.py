@@ -109,7 +109,7 @@ def sgd_update(params, grads, state, lr, momentum, weight_decay):
 
 def _update(model, x_in, y, spec, state, lr, deltas=None):
     """One SGD step on the mean loss at x_in with latent deltas injected."""
-    loss, tape = loss_grads(model, x_in, y, deltas, reduction="mean")
+    loss, tape = loss_grads(model, x_in, y, deltas, reduction="mean", wrt="params")
     grads = {name: tape.grads[node.idx] for name, node in tape.params.items()}
     sgd_update(model.parameters(), grads, state, lr, spec.momentum,
                spec.weight_decay)
@@ -119,7 +119,7 @@ def _update(model, x_in, y, spec, state, lr, deltas=None):
 def _slat_inputs(model, x, y, spec, clamp):
     """One clean sweep -> (x + delta_0, the other sites' deltas, clean input
     gradient)."""
-    _, tape = loss_grads(model, x, y)
+    _, tape = loss_grads(model, x, y, wrt="inputs")
     deltas = deltas_from_tape(tape, model.K, spec.eta_for(model))
     x_in = _clamp(x + deltas.pop(0), clamp) if 0 in deltas else x
     return x_in, deltas, tape.grads[tape.input.idx]

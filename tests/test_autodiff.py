@@ -189,6 +189,29 @@ def test_pass_counters():
     assert pass_counts() == {"forward": 1, "backward": 1}
 
 
+def test_maxpool_ties_send_the_gradient_to_the_first_maximum():
+    # One row of four 2x2 windows: all zeros after a relu; equal maxima at
+    # (0,1) and (1,0); at (1,0) and (1,1); at (0,0) and (1,1).
+    pre = np.array([[[[-1.0, -2.0, 1.0, 3.0, 1.0, 2.0, 4.0, 0.5],
+                      [-0.5, 0.0, 3.0, 2.0, 5.0, 5.0, 1.0, 4.0]]]])
+    t = Tape()
+    h = t.record("relu", [pre])
+    pooled = t.record("maxpool2x2", [h])
+    assert np.array_equal(pooled.value, [[[[0.0, 3.0, 5.0, 4.0]]]])
+    up = np.array([[[[10.0, 20.0, 30.0, -40.0]]]])
+    backward(t, t.record("sum_all", [t.record("mul", [pooled, t.leaf(up)])]))
+    assert np.array_equal(t.grads[h.idx],
+                          [[[[10.0, 0.0, 0.0, 20.0, 0.0, 0.0, -40.0, 0.0],
+                             [0.0, 0.0, 0.0, 0.0, 30.0, 0.0, 0.0, 0.0]]]])
+
+
+def test_maxpool_passes_nan_through():
+    x = np.zeros((1, 1, 2, 4))
+    x[0, 0, 1, 2] = np.nan
+    out = Tape().record("maxpool2x2", [x]).value
+    assert out[0, 0, 0, 0] == 0.0 and np.isnan(out[0, 0, 0, 1])
+
+
 def test_graph_backward_rejects_relu():
     t = Tape()
     x = t.leaf(_relu_safe(np.random.default_rng(0), (2, 2)))

@@ -83,6 +83,13 @@ ONE_VALUE_PER_KEY = {
     "output.save_landscape": ("OFF", False),
 }
 FIELD_NAMES = {"eval.steps": "attack_steps", "eval.restarts": "attack_restarts"}
+# An image task. parse_config checks only that the IDX files exist, so this
+# file stands in for all four.
+IDX_TASK = {"data.kind": "idx", **{f"data.{split}_{part}": __file__
+                                   for split in ("train", "test")
+                                   for part in ("images", "labels")}}
+# Keys whose ONE_VALUE_PER_KEY value is valid only with other settings.
+CONTEXT = {"data.augment_pad": IDX_TASK}
 
 
 def test_schema_keys_and_their_fields():
@@ -90,7 +97,7 @@ def test_schema_keys_and_their_fields():
                 for key in keys}
     assert accepted == set(ONE_VALUE_PER_KEY) and len(accepted) == 41
     for dotted, (text, want) in ONE_VALUE_PER_KEY.items():
-        cfg = parse_config(None, {dotted: text})
+        cfg = parse_config(None, {**CONTEXT.get(dotted, {}), dotted: text})
         section, key = dotted.split(".")
         owner = cfg if section == "run" else getattr(cfg, section)
         assert getattr(owner, FIELD_NAMES.get(dotted, key)) == want, dotted
@@ -101,9 +108,9 @@ def test_schema_keys_and_their_fields():
 
 def test_parse_config_resolves_derived_values():
     cfg = parse_config(None, {"run.seed": "4", "data.augment_pad": "2",
-                              "train.epsilon": "0.3"})
+                              "train.epsilon": "0.3", **IDX_TASK})
     assert (cfg.train.seed, cfg.train.augment_pad) == (4, 2)
-    assert cfg.eval.epsilon == 0.3 and cfg.train.eta == {0: 0.3, 1: 0.3}
+    assert cfg.eval.epsilon == 0.3 and cfg.train.eta == {0: 0.3, 1: 0.3, 2: 0.3}
     cfg = parse_config(None, {"eval.epsilon": "0.05"})
     assert (cfg.eval.epsilon, cfg.train.epsilon) == (0.05, pytest.approx(0.1))
 
@@ -186,6 +193,12 @@ def test_validation_reports_all_problems():
         with pytest.raises(ValidationError) as err:
             parse_config(None, overrides)
         assert all(key in str(err.value) for key in overrides)
+
+
+def test_image_only_counts_must_be_nonnegative():
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {**IDX_TASK, "data.augment_pad": "-1", "data.limit": "-1"})
+    assert "data.augment_pad" in str(err.value) and "data.limit" in str(err.value)
 
 
 def test_seed_flag_overrides_file(tmp_path):
@@ -292,6 +305,41 @@ def test_cli_train_and_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "eta_out").exists() and not (tmp_path / "div_out").exists()
     assert main(["eval", "--config", path, "--out", out,
                  "--ckpt", os.path.join(out, "final.ckpt")]) == 0
+
+
+@pytest.mark.parametrize("override", [
+    "--data.augment_pad=1", "--data.mu=1,2,3", "--data.mu=1", "--data.mu=nan,0",
+    "--data.sigma=1,2,3", "--data.sigma=1", "--train.momentum=nan",
+    "--train.momentum=1", "--train.momentum=-0.5", "--train.momentum=inf",
+    "--train.weight_decay=nan", "--train.weight_decay=inf",
+    "--train.weight_decay=-1e-4", "--train.lambda_ga=-1", "--train.lambda_ga=nan",
+    "--train.checkpoint_every=-2", "--eval.co_window=-5", "--eval.alpha=-0.1",
+    "--eval.alpha=nan"])
+def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), override])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
+    assert override[2:override.index("=")] in err[0]
+    assert not out.exists()
+
+
+def _no_constants(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_diverged_toy_run_reports_a_degenerate_boundary(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--data.n_per_class=16", "--model.hidden=4", "--train.epochs=1",
+                 "--train.lr_max=1e300"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["degenerate decision boundary: "
+                   "non-finite logit difference on probe grid"]
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_no_constants)
+    assert summary["boundary_ratio"] is None and summary["aborted"] is None
 
 
 def test_cli_dotted_override(tmp_path):

@@ -5,7 +5,7 @@ from slatlab.autodiff import ShapeMismatch, UnknownSite, backward
 from slatlab.models import (CheckpointError, ShapeTooSmall, build_linear,
                             build_small_cnn, build_toy_mlp, forward_logits,
                             forward_with_latents, load_checkpoint, load_into,
-                            save_checkpoint)
+                            loss_grads, save_checkpoint)
 
 
 def test_linear_parameter_count_and_sites():
@@ -110,6 +110,43 @@ def test_latent_gradients_all_sites_one_sweep():
     assert set(grads) == {0, 1, 2}
     assert grads[1].shape == (2, 16, 4, 4)
     assert grads[2].shape == (2, 32, 2, 2)
+
+
+# model, input shape, and for each site: does it lie past the first
+# parametric layer (so that the "params" sweep fills it in)?
+PRUNE_CASES = {
+    "small_cnn": (lambda: build_small_cnn((1, 8, 8), 3, seed=6), (4, 1, 8, 8),
+                  {0: False, 1: True, 2: True}),
+    "toy_mlp": (lambda: build_toy_mlp(6, seed=2), (5, 2), {0: False, 1: True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNE_CASES))
+def test_pruned_sweeps_are_bit_identical(case):
+    build, shape, past_first_layer = PRUNE_CASES[case]
+    model = build()
+    assert set(past_first_layer) == set(model.K)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=shape)
+    y = np.arange(len(x)) % model.n_classes
+    _, latents, _ = forward_with_latents(model, x)
+    deltas = {k: 0.05 * rng.normal(size=h.shape) for k, h in latents.items()}
+    full = loss_grads(model, x, y, deltas)[1]
+    params = {node.idx for node in full.params.values()}
+    sites = {full.sites[k] for k in model.K}
+    late_sites = {full.sites[k] for k, late in past_first_layer.items() if late}
+    named = {full.input.idx} | sites | params
+    wanted = {"inputs": {full.input.idx} | sites, "params": params | late_sites}
+    for wrt, want in wanted.items():
+        tape = loss_grads(model, x, y, deltas, wrt=wrt)[1]
+        assert named & set(tape.grads) == want, wrt
+        for idx, g in tape.grads.items():
+            assert np.array_equal(g, full.grads[idx]), (wrt, idx)
+
+
+def test_loss_grads_rejects_unknown_wrt():
+    with pytest.raises(ValueError, match="wrt"):
+        loss_grads(build_toy_mlp(4), np.zeros((1, 2)), [0], wrt="sites")
 
 
 def test_checkpoint_round_trip(tmp_path):
