@@ -174,8 +174,14 @@ def _fwd_conv2d(values, params):
     p = kh // 2
     bsz, _, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * w, c * kh * kw)
+    # im2col by one slab copy per tap, each moving contiguous W-runs: the
+    # transposed flat view of `buf` is the (B*H*W, C*kh*kw) column matrix,
+    # F-contiguous, so the backward's cols.T is C-contiguous
+    buf = np.empty((c, kh, kw, bsz, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            buf[:, i, j] = xp[:, :, i:i + h, j:j + w].transpose(1, 0, 2, 3)
+    cols = buf.reshape(c * kh * kw, bsz * h * w).T
     out = cols @ k.reshape(f, -1).T
     out += b
     out = out.reshape(bsz, h, w, f).transpose(0, 3, 1, 2)

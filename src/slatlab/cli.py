@@ -2,8 +2,8 @@
 
 Every run writes metrics.csv, final.ckpt, landscape_<method>.csv and
 summary.json into its output directory; exit codes are 0 (success),
-1 (config error, or a toy run whose decision boundary is degenerate),
-2 (aborted on a non-finite gradient).
+1 (config error, corrupt or unreadable input file, or a toy run whose
+decision boundary is degenerate), 2 (aborted on a non-finite gradient).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import training
 from .attacks import AttackSpec
 from .config import (ParseError, ValidationError, build_datasets, build_model,
                      parse_config)
+from .data import BadMagic, CountMismatch, TruncatedFile
 
 _OVERRIDE_RE = re.compile(r"^--([a-z_]+\.[a-z_]+)=(.*)$")
 
@@ -40,14 +41,13 @@ def run(cfg, ckpt=None, eval_only=False):
 
 
 def _run(cfg, ckpt, eval_only):
-    out = cfg.output.dir
-    os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
-
     train_ds, test_ds = build_datasets(cfg)
     model = build_model(cfg)
     if ckpt:
         models_mod.load_into(model, models_mod.load_checkpoint(ckpt))
+    out = cfg.output.dir
+    os.makedirs(out, exist_ok=True)
 
     steps_per_epoch = math.ceil(len(train_ds) / cfg.train.batch)
     records = []
@@ -253,6 +253,13 @@ def main(argv=None):
             return 0
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (models_mod.CheckpointError, BadMagic, TruncatedFile,
+            CountMismatch) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import models as models_mod
-from .training import METHODS, EvalSettings, TrainSpec
+from .training import EvalSettings, TrainSpec
 
 
 class ParseError(Exception):
@@ -284,29 +284,14 @@ def _validate(cfg):
                 problems.append(f"data.{key}: required for idx datasets")
             elif not os.path.exists(p):
                 problems.append(f"data.{key}: no such file {p!r}")
-    if cfg.train.method not in METHODS:
-        problems.append(f"train.method: {cfg.train.method!r}")
-    if cfg.train.epochs < 1 or cfg.train.batch < 1:
-        problems.append("train.epochs and train.batch must be >= 1")
-    if not (math.isfinite(cfg.train.lr_max) and cfg.train.lr_max > 0):
-        problems.append("train.lr_max must be finite and > 0")
-    if not _finite_nonneg(cfg.train.epsilon):
-        problems.append("train.epsilon must be finite and >= 0")
-    if not 0 <= cfg.train.momentum < 1:
-        problems.append("train.momentum must be in [0, 1)")
-    if not _finite_nonneg(cfg.train.weight_decay):
-        problems.append("train.weight_decay must be finite and >= 0")
-    if not _finite_nonneg(cfg.train.lambda_ga):
-        problems.append("train.lambda_ga must be finite and >= 0")
-    if cfg.train.checkpoint_every < 0 or cfg.eval.co_window < 0:
-        problems.append("train.checkpoint_every and eval.co_window must be >= 0")
+    problems += cfg.train.problems()
+    if cfg.eval.co_window < 0:
+        problems.append("eval.co_window must be >= 0")
     if cfg.eval.alpha is not None and not (math.isfinite(cfg.eval.alpha)
                                            and cfg.eval.alpha > 0):
         problems.append("eval.alpha must be finite and > 0")
     if cfg.eval.epsilon is not None and not _finite_nonneg(cfg.eval.epsilon):
         problems.append("eval.epsilon must be finite and >= 0")
-    if not 0 < cfg.train.peak_fraction < 1:
-        problems.append("train.peak_fraction must be in (0, 1)")
     if cfg.eval.attack_steps < 1 or cfg.eval.attack_restarts < 1:
         problems.append("eval.steps and eval.restarts must be >= 1")
     if cfg.eval.n_eval < 1 or cfg.eval.align_n < 1:

@@ -4,6 +4,7 @@ image ingestion, padding/cropping augmentation, and Rademacher directions.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -110,7 +111,7 @@ def _read_idx(path, want_magic, want_rank):
         raise BadMagic(f"{path}: magic 0x{magic:08x}, expected 0x{want_magic:08x}")
     dims = struct.unpack_from(f">{want_rank}I", blob, 4)
     start = 4 * (1 + want_rank)
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(blob) - start < count:
         raise TruncatedFile(f"{path}: {len(blob) - start} data bytes, "
                             f"header implies {count}")

@@ -8,11 +8,13 @@ the sites on the tape so one backward sweep yields all site gradients.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tape, UnknownSite, backward, count_forward
+from .autodiff import (_FORWARD, ShapeMismatch, Tape, UnknownSite, backward,
+                       count_forward)
 
 CKPT_MAGIC = b"SLATCKPT"
 CKPT_VERSION = 1
@@ -148,8 +150,15 @@ def loss_grads(model, x, y, deltas=None, reduction="sum", wrt="all"):
 
 
 def forward_logits(model, x):
-    logits, _, _ = forward_with_latents(model, x)
-    return logits.value
+    """Logit values of one clean forward pass, for callers that read values
+    only: each layer's forward rule runs on the current value and no tape is
+    built, so every intermediate is freed once the next layer has read it.
+    Counts as one forward pass."""
+    cur = _check_batch(model, x)
+    for layer in model.layers:
+        cur = _FORWARD[layer.kind]([cur, *layer.arrays.values()], {})[0]
+    count_forward()
+    return cur
 
 
 def truncated_forward(model, site_id, h):
@@ -246,6 +255,8 @@ def load_checkpoint(path):
         blob = fh.read()
     if blob[:8] != CKPT_MAGIC:
         raise CheckpointError(f"bad magic {blob[:8]!r}")
+    if len(blob) < 12:
+        raise CheckpointError(f"header short: {len(blob)} of 12 bytes")
     (version,) = struct.unpack_from("<I", blob, 8)
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
@@ -261,7 +272,10 @@ def load_checkpoint(path):
             off += 4
             dims = struct.unpack_from(f"<{rank}Q", blob, off)
             off += 8 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)
+            if 8 * count > len(blob) - off:
+                raise CheckpointError(f"truncated checkpoint: {name} needs "
+                                      f"{8 * count} bytes, {len(blob) - off} left")
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
             off += 8 * count
             out[name] = arr.reshape(dims).astype(np.float64)

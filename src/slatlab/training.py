@@ -45,12 +45,31 @@ class TrainSpec:
     augment_pad: int = field(default=0, metadata={"ini": None})
 
     def __post_init__(self):
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def problems(self):
+        """Every violated rule, each message naming its [train] INI key;
+        config.parse_config reports these with the other sections' rules."""
+        problems = []
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.epochs < 1 or self.batch < 1 or self.lr_max <= 0:
-            raise ValueError("need epochs >= 1, batch >= 1, lr_max > 0")
-        if self.lambda_ga < 0:
-            raise ValueError("lambda_ga must be >= 0")
+            problems.append(f"train.method: unknown method {self.method!r}")
+        if self.epochs < 1 or self.batch < 1:
+            problems.append("train.epochs and train.batch must be >= 1")
+        if not (math.isfinite(self.lr_max) and self.lr_max > 0):
+            problems.append("train.lr_max must be finite and > 0")
+        for name in ("epsilon", "weight_decay", "lambda_ga"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                problems.append(f"train.{name} must be finite and >= 0")
+        if not 0 <= self.momentum < 1:
+            problems.append("train.momentum must be in [0, 1)")
+        if self.checkpoint_every < 0:
+            problems.append("train.checkpoint_every must be >= 0")
+        if not 0 < self.peak_fraction < 1:
+            problems.append("train.peak_fraction must be in (0, 1)")
+        return problems
 
     def eta_for(self, model):
         if self.eta is not None:

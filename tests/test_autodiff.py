@@ -227,3 +227,22 @@ def test_per_example_xent_matches_op():
     t = Tape()
     loss = t.record("loss_softmax_xent", [z], labels=y, reduction="sum")
     assert float(loss.value) == pytest.approx(per_example_xent(z, y).sum(), rel=1e-12)
+
+
+def _sliding_window_cols(x, kh):
+    """The im2col matrix as a strided window view: the reference layout."""
+    p = kh // 2
+    bsz, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kh), axis=(2, 3))
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * w, c * kh * kh)
+
+
+@pytest.mark.parametrize("c,h,f", [(1, 28, 16), (16, 14, 32)])
+@pytest.mark.parametrize("bsz", [1, 7, 64, 128])
+def test_conv2d_columns_match_the_sliding_window_layout(c, h, f, bsz):
+    rng = np.random.default_rng(bsz)
+    x = rng.normal(size=(bsz, c, h, h))
+    t = Tape()
+    out = t.record("conv2d", [x, rng.normal(size=(f, c, 3, 3)), rng.normal(size=f)])
+    assert np.array_equal(out.meta["cols"], _sliding_window_cols(x, 3))

@@ -11,6 +11,7 @@ from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets
                             build_model, parse_config, parse_number)
 from slatlab.data import write_idx_images, write_idx_labels
 from slatlab.metrics import read_metrics_csv
+from slatlab.training import TrainSpec
 
 FAST_TOY = """
 [run]
@@ -195,6 +196,19 @@ def test_validation_reports_all_problems():
         assert all(key in str(err.value) for key in overrides)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("method", "bogus"), ("epochs", 0), ("batch", 0), ("lr_max", 0.0),
+    ("lr_max", float("inf")), ("epsilon", float("nan")), ("momentum", 1.5),
+    ("momentum", -0.1), ("weight_decay", -1.0), ("lambda_ga", -1.0),
+    ("checkpoint_every", -1), ("peak_fraction", 2.0), ("peak_fraction", 0.0)])
+def test_train_rules_have_one_owner(field, value):
+    with pytest.raises(ValueError, match=f"train.{field}"):
+        TrainSpec(**{field: value})
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {f"train.{field}": str(value)})
+    assert [p for p in err.value.problems if f"train.{field}" in p]
+
+
 def test_image_only_counts_must_be_nonnegative():
     with pytest.raises(ValidationError) as err:
         parse_config(None, {**IDX_TASK, "data.augment_pad": "-1", "data.limit": "-1"})
@@ -321,6 +335,38 @@ def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
     err = capsys.readouterr().err.splitlines()
     assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
     assert override[2:override.index("=")] in err[0]
+    assert not out.exists()
+
+
+def _garbage_checkpoint(tmp_path):
+    path = tmp_path / "garbage.ckpt"
+    path.write_bytes(b"garbage!")
+    return ["eval", "--ckpt", str(path)]
+
+
+def _missing_checkpoint(tmp_path):
+    return ["eval", "--ckpt", str(tmp_path / "missing.ckpt")]
+
+
+def _short_labels_file(tmp_path):
+    write_idx_images(np.zeros((2, 8, 8), dtype=np.uint8), tmp_path / "i.idx")
+    (tmp_path / "l.idx").write_bytes(b"\x00\x00\x08\x01")
+    idx = {f"data.{split}_{part}": str(tmp_path / f"{part[0]}.idx")
+           for split in ("train", "test") for part in ("images", "labels")}
+    return ["train", "--data.kind=idx", "--model.in_shape=1x8x8",
+            *(f"--{key}={value}" for key, value in idx.items())]
+
+
+@pytest.mark.parametrize("bad_input,prefix", [
+    (_garbage_checkpoint, "input error: bad magic"),
+    (_missing_checkpoint, "I/O error: [Errno 2]"),
+    (_short_labels_file, "input error:")])
+def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, bad_input, prefix):
+    out = tmp_path / "out"
+    code = main([*bad_input(tmp_path), "--config", write_cfg(tmp_path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith(prefix)
     assert not out.exists()
 
 

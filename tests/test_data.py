@@ -1,8 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from slatlab.data import (BadMagic, CountMismatch, LabeledDataset, ToySpec,
-                          TruncatedFile, augment_pad_crop, gen_toy, load_idx,
+from slatlab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, BadMagic,
+                          CountMismatch, LabeledDataset, ToySpec,
+                          TruncatedFile, _read_idx, augment_pad_crop, gen_toy,
+                          load_idx,
                           load_toy_csv, rademacher, render_digit_corpus,
                           save_toy_csv, write_idx_images, write_idx_labels)
 
@@ -111,6 +117,44 @@ def test_idx_count_mismatch(tmp_path):
     write_idx_labels(np.zeros(3, dtype=np.uint8), tmp_path / "l.idx")
     with pytest.raises(CountMismatch):
         load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+
+
+def test_idx_element_count_does_not_wrap(tmp_path):
+    # 2**21 * 2**21 * 2**22 = 2**64 wraps to 0 in int64
+    p = tmp_path / "huge.idx"
+    p.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**21, 2**21, 2**22))
+    with pytest.raises(TruncatedFile, match="header implies 18446744073709551616"):
+        _read_idx(p, IDX_IMAGES_MAGIC, 3)
+
+
+# A valid images or labels file cut short, with bytes overwritten, or with
+# bytes inserted; arbitrary bytes cover the rest.
+EDITS = st.lists(st.tuples(st.integers(0, 40), st.binary(min_size=1, max_size=5),
+                           st.booleans()), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(images=st.booleans(), cut=st.integers(0, 40), edits=EDITS,
+       junk=st.binary(max_size=40), arbitrary=st.booleans())
+def test_read_idx_raises_only_declared_errors(tmp_path, images, cut, edits,
+                                              junk, arbitrary):
+    p = tmp_path / "fuzzed.idx"
+    if images:
+        write_idx_images(np.arange(18, dtype=np.uint8).reshape(2, 3, 3), p)
+    else:
+        write_idx_labels(np.arange(5, dtype=np.uint8), p)
+    blob = bytearray(junk if arbitrary else p.read_bytes()[:cut])
+    for at, raw, insert in edits:
+        at = min(at, len(blob))
+        blob[at:at if insert else at + len(raw)] = raw
+    p.write_bytes(bytes(blob))
+    magic, rank = (IDX_IMAGES_MAGIC, 3) if images else (IDX_LABELS_MAGIC, 1)
+    try:
+        arr = _read_idx(p, magic, rank)
+    except (BadMagic, TruncatedFile, CountMismatch):
+        return
+    assert arr.dtype == np.uint8 and arr.ndim == rank
 
 
 def test_dataset_length_mismatch():

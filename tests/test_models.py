@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from slatlab.autodiff import ShapeMismatch, UnknownSite, backward
+from slatlab.autodiff import (ShapeMismatch, Tape, UnknownSite, backward,
+                              pass_counts)
 from slatlab.models import (CheckpointError, ShapeTooSmall, build_linear,
                             build_small_cnn, build_toy_mlp, forward_logits,
                             forward_with_latents, load_checkpoint, load_into,
@@ -92,6 +95,42 @@ def test_forward_is_pure():
     assert np.array_equal(a, b)
 
 
+# model builders whose tape-free logits must equal the taped forward's
+LOGIT_MODELS = {
+    "linear": (lambda: build_linear(5, 3, seed=1), (5,)),
+    "toy_mlp_relu": (lambda: build_toy_mlp(6, "relu", seed=2), (2,)),
+    "toy_mlp_softplus": (lambda: build_toy_mlp(6, "softplus", seed=2), (2,)),
+    "small_cnn_relu": (lambda: build_small_cnn((1, 8, 8), 3, seed=6), (1, 8, 8)),
+    "small_cnn_softplus": (lambda: build_small_cnn((1, 8, 8), 3, "softplus",
+                                                   seed=6), (1, 8, 8)),
+    "small_cnn_site_2": (lambda: build_small_cnn((1, 8, 8), 3, seed=6,
+                                                 sites=(2,)), (1, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOGIT_MODELS))
+@pytest.mark.parametrize("bsz", [1, 7])
+def test_forward_logits_builds_no_tape(case, bsz, monkeypatch):
+    build, shape = LOGIT_MODELS[case]
+    model = build()
+    x = np.random.default_rng(bsz).normal(size=(bsz,) + shape)
+    x_before = x.copy()
+    want = forward_with_latents(model, x)[0].value
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("forward_logits recorded an op")
+
+    monkeypatch.setattr(Tape, "record", no_record)
+    monkeypatch.setattr(Tape, "leaf", no_record)
+    before = pass_counts()
+    got = forward_logits(model, x)
+    after = pass_counts()
+    assert np.array_equal(got, want)
+    assert np.array_equal(x, x_before)
+    assert after == {"forward": before["forward"] + 1,
+                     "backward": before["backward"]}
+
+
 def test_forward_rejects_unknown_site_and_bad_shape():
     m = build_toy_mlp(4)
     with pytest.raises(UnknownSite):
@@ -168,6 +207,14 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", [b"SLATCKPT", b"SLATCKPT\x01\x00"])
+def test_checkpoint_short_header(tmp_path, blob):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_truncation(tmp_path):
     m = build_linear(2, 2, seed=0)
     path = tmp_path / "model.ckpt"
@@ -185,3 +232,35 @@ def test_checkpoint_name_mismatch(tmp_path):
     other = build_toy_mlp(4)
     with pytest.raises(CheckpointError):
         load_into(other, load_checkpoint(path))
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "valid.ckpt"
+    save_checkpoint(build_toy_mlp(3, seed=1), path)
+    return path.read_bytes()
+
+
+# A valid checkpoint cut short, with bytes overwritten, or with bytes
+# inserted; arbitrary bytes cover the rest.
+EDITS = st.lists(st.tuples(st.integers(0, 400), st.binary(min_size=1, max_size=9),
+                           st.booleans()), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.integers(0, 400), edits=EDITS, junk=st.binary(max_size=64),
+       arbitrary=st.booleans())
+def test_load_checkpoint_raises_only_checkpoint_error(tmp_path, cut, edits,
+                                                      junk, arbitrary):
+    blob = bytearray(junk if arbitrary else _checkpoint_bytes(tmp_path)[:cut])
+    for at, raw, insert in edits:
+        at = min(at, len(blob))
+        blob[at:at if insert else at + len(raw)] = raw
+    path = tmp_path / "fuzzed.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        state = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float64
+               for a in state.values())
