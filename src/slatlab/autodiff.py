@@ -144,10 +144,6 @@ class Tape:
     def register_site(self, site_id, node):
         self.sites[int(site_id)] = node.idx
 
-    def site_grads(self):
-        """Gradients at every registered site, keyed by site id."""
-        return {k: self.grads[idx] for k, idx in self.sites.items()}
-
 
 # ---------------------------------------------------------------------------
 # forward implementations: values[i] aligns with node.inputs[i]

@@ -2,7 +2,7 @@
 
 Every run writes metrics.csv, final.ckpt, landscape_<method>.csv and
 summary.json into its output directory; exit codes are 0 (success),
-1 (config error, corrupt or unreadable input file, or a toy run whose
+1 (config error, corrupt, empty or unreadable input file, or a toy run whose
 decision boundary is degenerate), 2 (aborted on a non-finite gradient).
 """
 
@@ -25,9 +25,13 @@ from . import training
 from .attacks import AttackSpec
 from .config import (ParseError, ValidationError, build_datasets, build_model,
                      parse_config)
-from .data import BadMagic, CountMismatch, TruncatedFile
+from .data import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 
 _OVERRIDE_RE = re.compile(r"^--([a-z_]+\.[a-z_]+)=(.*)$")
+
+# A corrupt, empty or unreadable input file: exit code 1, never a traceback.
+INPUT_ERRORS = (models_mod.CheckpointError, BadMagic, TruncatedFile,
+                CountMismatch, EmptyDataset, OSError)
 
 
 def run(cfg, ckpt=None, eval_only=False):
@@ -134,7 +138,7 @@ def sweep(config_path, overrides, param, values, out_root):
             with open(os.path.join(ov["output.dir"], "summary.json")) as fh:
                 summary = json.load(fh)
             return value, code, summary
-        except (ParseError, ValidationError) as exc:
+        except (ParseError, ValidationError, *INPUT_ERRORS) as exc:
             return value, 1, {"error": str(exc)}
 
     env = os.environ.get("SLATLAB_THREADS")
@@ -254,12 +258,9 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (models_mod.CheckpointError, BadMagic, TruncatedFile,
-            CountMismatch) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        kind = "I/O" if isinstance(exc, OSError) else "input"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 1
     return 0
 

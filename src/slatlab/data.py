@@ -32,6 +32,10 @@ class CountMismatch(Exception):
     pass
 
 
+class EmptyDataset(Exception):
+    pass
+
+
 @dataclass
 class ToySpec:
     mu: tuple = DEFAULT_TOY_MU
@@ -80,27 +84,6 @@ def gen_toy(spec: ToySpec):
     return LabeledDataset(xs, ys, {"name": "toy", "input_scale": None})
 
 
-def save_toy_csv(dataset, path):
-    with open(path, "w") as fh:
-        fh.write("x1,x2,label\n")
-        for (x1, x2), y in zip(dataset.xs, dataset.ys):
-            fh.write(f"{float(x1)!r},{float(x2)!r},{int(y)}\n")
-
-
-def load_toy_csv(path):
-    xs, ys = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x1,x2,label":
-            raise BadMagic(f"unexpected toy CSV header {header!r}")
-        for line in fh:
-            a, b, y = line.strip().split(",")
-            xs.append((float(a), float(b)))
-            ys.append(int(y))
-    return LabeledDataset(np.asarray(xs), np.asarray(ys, dtype=np.int64),
-                          {"name": "toy", "input_scale": None})
-
-
 def _read_idx(path, want_magic, want_rank):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -127,6 +110,8 @@ def load_idx(images_path, labels_path):
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise CountMismatch(f"{images.shape[0]} images vs {labels.shape[0]} labels")
+    if len(labels) == 0:
+        raise EmptyDataset(f"{images_path}, {labels_path}: no examples")
     xs = images.astype(np.float64)[:, None, :, :] / 255.0
     return LabeledDataset(xs, labels.astype(np.int64),
                           {"name": "idx", "input_scale": (0.0, 1.0)})

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import fgsm, input_grad, latent_deltas, r_fgsm, run_attack
+from .attacks import _clamp, input_grad, latent_deltas, r_fgsm, run_attack
 from .autodiff import backward, per_example_xent
 from .data import DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA, rademacher
 from .models import forward_logits, forward_with_latents, loss_grads
@@ -39,20 +39,19 @@ class LandscapeGrid:
     b_values: np.ndarray    # Rademacher-direction coefficients
 
 
-def mean_xent(model, x, y):
-    return float(per_example_xent(forward_logits(model, x), y).mean())
+def _n_correct(z, y):
+    """Strict-argmax count: a tie on the top logit counts as incorrect."""
+    rows = np.arange(len(y))
+    zy = z[rows, y]
+    z = z.copy()
+    z[rows, y] = -np.inf
+    return int((zy > z.max(axis=1)).sum())
 
 
 def accuracy(model, xs, ys, batch=512):
     """Strict-argmax accuracy: a tie on the top logit counts as incorrect."""
-    correct = 0
-    for i in range(0, len(xs), batch):
-        z = forward_logits(model, xs[i:i + batch])
-        yb = ys[i:i + batch]
-        zy = z[np.arange(len(yb)), yb]
-        z = z.copy()
-        z[np.arange(len(yb)), yb] = -np.inf
-        correct += int((zy > z.max(axis=1)).sum())
+    correct = sum(_n_correct(forward_logits(model, xs[i:i + batch]), ys[i:i + batch])
+                  for i in range(0, len(xs), batch))
     return correct / len(xs)
 
 
@@ -62,7 +61,7 @@ def robust_accuracy(model, dataset, attack_spec, batch=256):
     for i in range(0, len(dataset), batch):
         xb, yb = dataset.xs[i:i + batch], dataset.ys[i:i + batch]
         x_adv = run_attack(model, xb, yb, attack_spec)
-        correct += accuracy(model, x_adv, yb, batch=batch) * len(yb)
+        correct += _n_correct(forward_logits(model, x_adv), yb)
     return correct / len(dataset)
 
 
@@ -81,25 +80,33 @@ def _row_cosines(g1, g2):
     return out
 
 
-def grad_alignment(model, x, y, epsilon, seed=0):
-    """Mean cosine between input gradients at x and at a random ball neighbor."""
+def linearity_probes(model, x, y, epsilon, seed=0, clamp=None):
+    """The local-linearity probes at clean inputs, keyed like MetricRecord:
+
+    - grad_align: mean cosine between the input gradients at x and at a
+      random neighbour in the epsilon ball (GradAlign);
+    - l1_grad_norms: per-site mean l1 norm of the latent gradients;
+    - logits_l2: mean l2 distance between the logits of the FGSM and R+FGSM
+      adversaries.
+
+    One clean sweep gives the first gradient, the FGSM point and every site
+    gradient.
+    """
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    gamma = epsilon * rng.uniform(-1.0, 1.0, size=x.shape)
-    g1 = input_grad(model, x, y)
-    g2 = input_grad(model, x + gamma, y)
-    return float(_row_cosines(g1, g2).mean())
-
-
-def feature_grad_l1(model, x, y, K=None):
-    """Per-site mean l1 norm of latent gradients at clean inputs."""
-    K = model.K if K is None else sorted(K)
     _, tape = loss_grads(model, x, y, wrt="inputs")
-    out = {}
-    for k in K:
-        g = tape.grads[tape.sites[k]]
-        out[k] = float(np.abs(g).reshape(len(g), -1).sum(axis=1).mean())
-    return out
+    g = tape.grads[tape.input.idx]
+    l1 = {}
+    for k in model.K:
+        gk = tape.grads[tape.sites[k]]
+        l1[k] = float(np.abs(gk).reshape(len(gk), -1).sum(axis=1).mean())
+    del tape    # the later sweeps need none of its intermediates
+    gamma = epsilon * np.random.default_rng(seed).uniform(-1.0, 1.0, size=x.shape)
+    g_near = input_grad(model, x + gamma, y)
+    za = forward_logits(model, _clamp(x + epsilon * np.sign(g), clamp))
+    zb = forward_logits(model, r_fgsm(model, x, y, epsilon, clamp=clamp, seed=seed))
+    return {"grad_align": float(_row_cosines(g, g_near).mean()),
+            "l1_grad_norms": l1,
+            "logits_l2": float(np.linalg.norm(za - zb, axis=1).mean())}
 
 
 def linear_approx_error(model, x, y, site, eps_vec):
@@ -176,13 +183,6 @@ def slice_linear_residual(grid):
     resid = s - np.polyval(coef, a)
     span = s.max() - s.min()
     return float(np.sqrt((resid ** 2).mean()) / max(span, 1e-12))
-
-
-def logits_l2_distance(model, x, y, epsilon, alpha=None, seed=0, clamp=None):
-    """Mean l2 distance between logits of FGSM and R+FGSM adversaries."""
-    za = forward_logits(model, fgsm(model, x, y, epsilon, clamp))
-    zb = forward_logits(model, r_fgsm(model, x, y, epsilon, alpha, clamp, seed))
-    return float(np.linalg.norm(za - zb, axis=1).mean())
 
 
 def detect_catastrophic_overfitting(records, window, drop=0.3, clean_tol=0.05):

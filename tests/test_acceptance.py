@@ -19,7 +19,7 @@ from slatlab.data import (ToySpec, gen_toy, load_idx, write_idx_images,
                           write_idx_labels)
 from slatlab.metrics import (accumulated_linearization_error,
                              boundary_nonrobust_ratio,
-                             detect_catastrophic_overfitting, grad_alignment,
+                             detect_catastrophic_overfitting,
                              loss_landscape, robust_accuracy,
                              slice_linear_residual)
 from slatlab.models import (build_linear, build_small_cnn, build_toy_mlp,

@@ -11,6 +11,7 @@ from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets
                             build_model, parse_config, parse_number)
 from slatlab.data import write_idx_images, write_idx_labels
 from slatlab.metrics import read_metrics_csv
+from slatlab.models import build_small_cnn, save_checkpoint
 from slatlab.training import TrainSpec
 
 FAST_TOY = """
@@ -368,6 +369,48 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, bad_input, prefix):
     err = capsys.readouterr().err.splitlines()
     assert code == 1 and len(err) == 1 and err[0].startswith(prefix)
     assert not out.exists()
+
+
+def _idx_task(tmp_path, n_train, n_test):
+    """Overrides for an 8x8 IDX task of n_train and n_test random images."""
+    rng = np.random.default_rng(0)
+    args = ["--data.kind=idx", "--model.in_shape=1x8x8"]
+    for split, n in (("train", n_train), ("test", n_test)):
+        images, labels = tmp_path / f"{split}_i.idx", tmp_path / f"{split}_l.idx"
+        write_idx_images(rng.integers(0, 256, size=(n, 8, 8)), images)
+        write_idx_labels(rng.integers(0, 10, size=n), labels)
+        args += [f"--data.{split}_images={images}", f"--data.{split}_labels={labels}"]
+    return args
+
+
+@pytest.mark.parametrize("verb,n_train,n_test", [
+    ("train", 0, 4), ("train", 4, 0), ("eval", 4, 0)])
+def test_cli_reports_an_empty_idx_set_in_one_line(tmp_path, capsys, verb,
+                                                   n_train, n_test):
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(build_small_cnn((1, 8, 8), 10), ckpt)
+    out = tmp_path / "out"
+    code = main([verb, "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--ckpt", str(ckpt), *_idx_task(tmp_path, n_train, n_test)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("input error:")
+    assert "no examples" in err[0]
+    assert not out.exists()
+
+
+def test_sweep_keeps_its_rows_past_a_bad_input_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLATLAB_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    task = _idx_task(tmp_path, 4, 4)
+    os.replace(tmp_path / "train_l.idx", tmp_path / "good.idx")
+    (tmp_path / "bad.idx").write_bytes(b"\x00\x00\x08\x01")
+    code = main(["sweep", "--config", write_cfg(tmp_path), "--out", "sweep_out",
+                 *task, "--param", "data.train_labels", "--values", "good.idx,bad.idx"])
+    assert code == 1
+    lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("good.idx,0,")
+    assert lines[2].startswith("bad.idx,1,")
 
 
 def _no_constants(name):

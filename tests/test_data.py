@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from slatlab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, BadMagic,
                           CountMismatch, LabeledDataset, ToySpec,
                           TruncatedFile, _read_idx, augment_pad_crop, gen_toy,
-                          load_idx,
-                          load_toy_csv, rademacher, render_digit_corpus,
-                          save_toy_csv, write_idx_images, write_idx_labels)
+                          load_idx, rademacher, render_digit_corpus,
+                          write_idx_images, write_idx_labels)
 
 
 def test_gen_toy_deterministic():
@@ -61,14 +60,6 @@ def test_degenerate_mu_is_chance():
     ds = gen_toy(ToySpec(mu=(0.0, 0.0), sigma=(0.5, 0.02), n_per_class=3000, seed=5))
     best = max(((ds.xs[:, i] > 0) == ds.ys).mean() for i in (0, 1))
     assert abs(best - 0.5) < 0.05
-
-
-def test_toy_csv_round_trip(tmp_path):
-    ds = gen_toy(ToySpec(n_per_class=50, seed=6))
-    path = tmp_path / "toy.csv"
-    save_toy_csv(ds, path)
-    back = load_toy_csv(path)
-    assert np.array_equal(ds.xs, back.xs) and np.array_equal(ds.ys, back.ys)
 
 
 def test_idx_round_trip_bit_exact(tmp_path):

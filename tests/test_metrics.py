@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from slatlab.attacks import AttackSpec, latent_deltas
-from slatlab.data import ToySpec, gen_toy
+from slatlab.autodiff import per_example_xent
+from slatlab.data import LabeledDataset, ToySpec, gen_toy
 from slatlab.metrics import (DegenerateBoundary, LandscapeGrid, MetricRecord,
                              accuracy, accumulated_linearization_error,
                              boundary_nonrobust_ratio,
-                             detect_catastrophic_overfitting, feature_grad_l1,
-                             grad_alignment, linear_approx_error,
-                             logits_l2_distance, loss_landscape, mean_xent,
-                             read_metrics_csv, robust_accuracy,
+                             detect_catastrophic_overfitting,
+                             linear_approx_error, linearity_probes,
+                             loss_landscape, read_metrics_csv, robust_accuracy,
                              save_landscape_csv, slice_linear_residual,
                              write_metrics_csv)
 from slatlab.models import (Layer, Model, build_linear, build_small_cnn,
@@ -36,7 +36,8 @@ def test_grad_alignment_linear_is_one():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(16, 4))
     y = rng.integers(0, 2, size=16)
-    assert grad_alignment(m, x, y, epsilon=0.3, seed=2) == pytest.approx(1.0, abs=1e-9)
+    assert linearity_probes(m, x, y, epsilon=0.3, seed=2)["grad_align"] == \
+        pytest.approx(1.0, abs=1e-9)
 
 
 def test_grad_alignment_zero_radius_is_one():
@@ -44,7 +45,8 @@ def test_grad_alignment_zero_radius_is_one():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(8, 2))
     y = rng.integers(0, 2, size=8)
-    assert grad_alignment(m, x, y, epsilon=0.0, seed=0) == pytest.approx(1.0, abs=1e-12)
+    assert linearity_probes(m, x, y, epsilon=0.0, seed=0)["grad_align"] == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_grad_alignment_bounded():
@@ -53,7 +55,7 @@ def test_grad_alignment_bounded():
     for seed in range(5):
         x = rng.normal(size=(12, 2))
         y = rng.integers(0, 2, size=12)
-        c = grad_alignment(m, x, y, epsilon=0.5, seed=seed)
+        c = linearity_probes(m, x, y, epsilon=0.5, seed=seed)["grad_align"]
         assert -1.0 <= c <= 1.0
 
 
@@ -62,7 +64,7 @@ def test_feature_grad_l1_zero_output_layer():
     m.layers[-1].arrays["w"][:] = 0.0
     m.layers[-1].arrays["b"][:] = 0.0
     x = np.random.default_rng(4).normal(size=(6, 2))
-    norms = feature_grad_l1(m, x, np.zeros(6, dtype=int))
+    norms = linearity_probes(m, x, np.zeros(6, dtype=int), 0.1)["l1_grad_norms"]
     assert all(v == 0.0 for v in norms.values())
 
 
@@ -73,7 +75,7 @@ def test_feature_grad_l1_matches_sign_dot():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 2))
     y = rng.integers(0, 2, size=4)
-    norms = feature_grad_l1(m, x, y)
+    norms = linearity_probes(m, x, y, 0.1)["l1_grad_norms"]
     logits, _, tape = forward_with_latents(m, x)
     loss = tape.record("loss_softmax_xent", [logits], labels=y, reduction="sum")
     backward(tape, loss)
@@ -140,7 +142,7 @@ def test_loss_landscape_origin_bit_exact():
     x = rng.normal(size=(6, 2))
     y = rng.integers(0, 2, size=6)
     grid = loss_landscape(m, x, y, epsilon=0.1, n=5, seed=0)
-    assert grid.values[0, 0] == mean_xent(m, x, y)
+    assert grid.values[0, 0] == per_example_xent(forward_logits(m, x), y).mean()
     assert grid.values.shape == (5, 5)
     assert grid.a_values[0] == 0.0 and grid.a_values[-1] == pytest.approx(0.1)
 
@@ -168,7 +170,7 @@ def test_logits_l2_distance_zero_eps():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(5, 2))
     y = rng.integers(0, 2, size=5)
-    assert logits_l2_distance(m, x, y, epsilon=0.0, alpha=1e-12, seed=0) == \
+    assert linearity_probes(m, x, y, epsilon=0.0, seed=0)["logits_l2"] == \
         pytest.approx(0.0, abs=1e-9)
 
 
@@ -179,7 +181,7 @@ def test_logits_l2_distance_linear_direct():
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, size=6)
     eps = 0.2
-    got = logits_l2_distance(m, x, y, eps, seed=3)
+    got = linearity_probes(m, x, y, eps, seed=3)["logits_l2"]
     w = m.layers[0].arrays["w"]
     da = fgsm(m, x, y, eps) - x
     db = r_fgsm(m, x, y, eps, 1.25 * eps, seed=3) - x
@@ -270,6 +272,18 @@ def test_robust_accuracy_monotone_in_eps_linear():
         acc = robust_accuracy(m, ds, spec)
         assert acc <= prev + 1e-12
         prev = acc
+
+
+def test_robust_accuracy_is_an_exact_count_ratio():
+    # every input predicts class 1; none right in the first batch of 256 and
+    # 15 right in the last 22, where (15/22)*22 is not 15 in floats
+    m = linear_margin_model(1.0, 0.0)
+    xs = np.ones((278, 2))
+    ys = np.zeros(278, dtype=np.int64)
+    ys[256:271] = 1
+    ds = LabeledDataset(xs, ys)
+    spec = AttackSpec("pgd", epsilon=0.0, steps=1, seed=0)
+    assert robust_accuracy(m, ds, spec, batch=256) == 15 / 278
 
 
 def test_metrics_csv_round_trip(tmp_path):

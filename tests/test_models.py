@@ -145,7 +145,7 @@ def test_latent_gradients_all_sites_one_sweep():
     logits, _, tape = forward_with_latents(m, x)
     loss = tape.record("loss_softmax_xent", [logits], labels=np.array([0, 1]))
     backward(tape, loss)
-    grads = tape.site_grads()
+    grads = {k: tape.grads[idx] for k, idx in tape.sites.items()}
     assert set(grads) == {0, 1, 2}
     assert grads[1].shape == (2, 16, 4, 4)
     assert grads[2].shape == (2, 32, 2, 2)

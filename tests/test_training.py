@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from slatlab import training as training_mod
+from slatlab.attacks import fgsm, input_grad, pgd, r_fgsm
 from slatlab.autodiff import (UnsupportedOps, backward, pass_counts,
-                              reset_pass_counts)
+                              per_example_xent, reset_pass_counts)
 from slatlab.data import ToySpec, gen_toy
-from slatlab.metrics import (_row_cosines, mean_xent, read_metrics_csv,
-                             write_metrics_csv)
-from slatlab.models import build_linear, build_toy_mlp, loss_grads
+from slatlab.metrics import (MetricRecord, _row_cosines, accuracy,
+                             read_metrics_csv, write_metrics_csv)
+from slatlab.models import (build_linear, build_small_cnn, build_toy_mlp,
+                            forward_logits, loss_grads)
 from slatlab.training import (METHODS, EvalSettings, NonFiniteGradient,
-                              TrainSpec, cyclic_lr, fast_ga_loss, fgsm_at_step,
-                              init_optimizer, sgd_update, slat_fast_ga_step,
-                              slat_step, standard_step, train)
+                              TrainSpec, cyclic_lr, evaluate_checkpoint,
+                              fast_ga_loss, fgsm_at_step, init_optimizer,
+                              sgd_update, slat_fast_ga_step, slat_step,
+                              standard_step, train)
 
 TINY_EVAL = EvalSettings(attack_steps=3, n_eval=32, align_n=16)
 
@@ -132,6 +135,70 @@ def test_step_pass_counts(method):
     assert pass_counts() == {"forward": forwards, "backward": backwards}
 
 
+# (forwards, backwards) per checkpoint with S PGD steps and R restarts: the
+# attack's S*R sweeps and R restart-selection forwards, then one clean
+# accuracy forward, one adversarial forward, and the linearity probes' three
+# sweeps and two logit forwards.
+@pytest.mark.parametrize("steps,restarts", [(20, 1), (3, 2)])
+def test_checkpoint_pass_counts(steps, restarts):
+    x, y = toy_batch(seed=3, n=32)
+    m = build_toy_mlp(8, "softplus", seed=7)
+    ev = EvalSettings(attack_steps=steps, attack_restarts=restarts, align_n=16)
+    reset_pass_counts()
+    evaluate_checkpoint(m, x, y, TrainSpec(epsilon=0.1), ev, 0, 0.0, 0.0)
+    sr = steps * restarts
+    assert pass_counts() == {"forward": sr + restarts + 7, "backward": sr + 3}
+
+
+def _separate_probes_record(model, xs, ys, spec, ev, step, epoch, lr, clamp):
+    """A checkpoint record with every probe on its own sweeps: two input
+    gradients for the alignment, a third clean sweep for the site norms,
+    FGSM and R+FGSM logits, and separate accuracy and xent forwards."""
+    eps = ev.epsilon if ev.epsilon is not None else spec.epsilon
+    x_adv = pgd(model, xs, ys, eps, ev.alpha, ev.attack_steps,
+                ev.attack_restarts, clamp, seed=ev.seed)
+    xa, ya = xs[:ev.align_n], ys[:ev.align_n]
+    gamma = eps * np.random.default_rng(ev.seed).uniform(-1.0, 1.0, size=xa.shape)
+    align = _row_cosines(input_grad(model, xa, ya), input_grad(model, xa + gamma, ya))
+    _, tape = loss_grads(model, xa, ya, wrt="inputs")
+    l1 = {k: float(np.abs(tape.grads[tape.sites[k]]).reshape(len(xa), -1)
+                   .sum(axis=1).mean()) for k in model.K}
+    za = forward_logits(model, fgsm(model, xa, ya, eps, clamp))
+    zb = forward_logits(model, r_fgsm(model, xa, ya, eps, None, clamp, ev.seed))
+    return MetricRecord(
+        step=step, epoch=epoch,
+        clean_acc=accuracy(model, xs, ys),
+        pgd_acc=accuracy(model, x_adv, ys),
+        adv_loss=float(per_example_xent(forward_logits(model, x_adv), ys).mean()),
+        grad_align=float(align.mean()), l1_grad_norms=l1,
+        logits_l2=float(np.linalg.norm(za - zb, axis=1).mean()), lr=lr)
+
+
+def _toy_case():
+    ds = gen_toy(ToySpec(n_per_class=300, seed=4))
+    # 600 examples: clean accuracy takes two batches of 512
+    return build_toy_mlp(16, "softplus", seed=4), ds.xs, ds.ys, None, 0.1
+
+
+def _cnn_case():
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.0, 1.0, size=(12, 1, 8, 8))
+    ys = rng.integers(0, 3, size=12)
+    return build_small_cnn((1, 8, 8), 3, seed=5), xs, ys, (0.0, 1.0), 0.2
+
+
+@pytest.mark.parametrize("case", [_toy_case, _cnn_case])
+def test_checkpoint_record_equals_separate_probes(case):
+    m, xs, ys, clamp, eps = case()
+    spec = TrainSpec(epsilon=eps)
+    for ev in (EvalSettings(attack_steps=3, align_n=8, seed=11),
+               EvalSettings(epsilon=eps / 2, attack_steps=2, attack_restarts=2,
+                            alpha=eps / 4, align_n=5, seed=12)):
+        got = evaluate_checkpoint(m, xs, ys, spec, ev, 3, 0.5, 0.01, clamp)
+        want = _separate_probes_record(m, xs, ys, spec, ev, 3, 0.5, 0.01, clamp)
+        assert got == want
+
+
 def test_slat_perturbed_loss_dominates_clean_on_frozen_linear():
     rng = np.random.default_rng(4)
     m = build_linear(2, 2, seed=8)
@@ -139,8 +206,8 @@ def test_slat_perturbed_loss_dominates_clean_on_frozen_linear():
     y = rng.integers(0, 2, size=32)
     from slatlab.attacks import latent_deltas
     deltas = latent_deltas(m, x, y, eta={0: 0.2})
-    clean = mean_xent(m, x, y)
-    pert = mean_xent(m, x + deltas[0], y)
+    clean = per_example_xent(forward_logits(m, x), y).mean()
+    pert = per_example_xent(forward_logits(m, x + deltas[0]), y).mean()
     assert pert >= clean
 
 
@@ -153,7 +220,8 @@ def test_fast_ga_linear_model_has_no_penalty():
     total, tape = fast_ga_loss(m, x, y, spec)
     x_adv = x + 0.05 * np.sign(
         __import__("slatlab.attacks", fromlist=["input_grad"]).input_grad(m, x, y))
-    assert float(total.value) == pytest.approx(mean_xent(m, x_adv, y), abs=1e-9)
+    assert float(total.value) == pytest.approx(
+        per_example_xent(forward_logits(m, x_adv), y).mean(), abs=1e-9)
 
 
 def test_fast_ga_lambda_zero_matches_slat_loss():
