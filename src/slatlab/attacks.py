@@ -100,23 +100,19 @@ def run_attack(model, x, y, spec: AttackSpec):
                spec.restarts, spec.clamp, spec.seed)
 
 
-def deltas_from_tape(tape, K, eta):
-    """eta_k * sign(site gradient) for every k in K, from one swept tape."""
+def deltas_from_tape(tape, eta):
+    """eta_k * sign(site gradient) for every k in eta, from one swept tape."""
     out = {}
-    for k in K:
+    for k, e in eta.items():
         if k not in tape.sites:
             raise UnknownSite(k)
-        e = float(eta[k])
         if e < 0:
             raise ValueError(f"eta[{k}] must be >= 0")
-        out[k] = e * np.sign(tape.grads[tape.sites[k]])
+        out[k] = float(e) * np.sign(tape.grads[tape.sites[k]])
     return out
 
 
-def latent_deltas(model, x, y, eta, K=None):
-    """Latent perturbations at the clean point, all from a single sweep.
-
-    `eta` maps each site in K (default: all of the model's sites) to its step.
-    """
+def latent_deltas(model, x, y, eta):
+    """Latent perturbations at the clean point for the sites in eta, one sweep."""
     _, tape = loss_grads(model, x, y, wrt="inputs")
-    return deltas_from_tape(tape, model.K if K is None else sorted(K), eta)
+    return deltas_from_tape(tape, eta)

@@ -2,8 +2,9 @@
 
 Every run writes metrics.csv, final.ckpt, landscape_<method>.csv and
 summary.json into its output directory; exit codes are 0 (success),
-1 (config error, corrupt, empty or unreadable input file, or a toy run whose
-decision boundary is degenerate), 2 (aborted on a non-finite gradient).
+1 (config error, corrupt, empty or unreadable input file, data the model cannot
+take, or a toy run whose decision boundary is degenerate), 2 (aborted on a
+non-finite gradient).
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ from .data import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 
 _OVERRIDE_RE = re.compile(r"^--([a-z_]+\.[a-z_]+)=(.*)$")
 
-# A corrupt, empty or unreadable input file: exit code 1, never a traceback.
+
+class DataMismatch(Exception):
+    """A dataset whose input shape or labels the configured model cannot take."""
+
+
+# A corrupt, empty or unreadable input file, or data that does not fit the
+# model: exit code 1, never a traceback.
 INPUT_ERRORS = (models_mod.CheckpointError, BadMagic, TruncatedFile,
-                CountMismatch, EmptyDataset, OSError)
+                CountMismatch, EmptyDataset, DataMismatch, OSError)
 
 
 def run(cfg, ckpt=None, eval_only=False):
@@ -44,12 +51,26 @@ def run(cfg, ckpt=None, eval_only=False):
         return _run(cfg, ckpt, eval_only)
 
 
-def _run(cfg, ckpt, eval_only):
-    t0 = time.perf_counter()
+def _load(cfg, ckpt=None):
+    """(train set, test set, model), each set checked against the model, with
+    the checkpoint's parameters loaded if one is given."""
     train_ds, test_ds = build_datasets(cfg)
     model = build_model(cfg)
+    for name, ds in (("training", train_ds), ("test", test_ds)):
+        if ds.xs.shape[1:] != model.input_shape:
+            raise DataMismatch(f"{name} examples have shape {ds.xs.shape[1:]}, the "
+                               f"{cfg.model.zoo} model takes {model.input_shape}")
+        if ds.ys.min() < 0 or ds.ys.max() >= model.n_classes:
+            raise DataMismatch(f"{name} labels span {ds.ys.min()}..{ds.ys.max()}, "
+                               f"the model has {model.n_classes} classes")
     if ckpt:
         models_mod.load_into(model, models_mod.load_checkpoint(ckpt))
+    return train_ds, test_ds, model
+
+
+def _run(cfg, ckpt, eval_only):
+    t0 = time.perf_counter()
+    train_ds, test_ds, model = _load(cfg, ckpt)
     out = cfg.output.dir
     os.makedirs(out, exist_ok=True)
 
@@ -111,9 +132,10 @@ def _run(cfg, ckpt, eval_only):
     return 2 if aborted else 1 if degenerate else 0
 
 
-def _save_landscape(cfg, model, dataset):
-    """Loss landscape over the first 64 examples, as landscape_<method>.csv."""
-    sample = dataset.subset(np.arange(min(64, len(dataset))))
+def _save_landscape(cfg, model, eval_subset):
+    """Loss landscape over the first 64 examples of the eval subset, as
+    landscape_<method>.csv."""
+    sample = eval_subset.subset(np.arange(min(64, len(eval_subset))))
     grid = metrics_mod.loss_landscape(model, sample.xs, sample.ys, cfg.eval.epsilon,
                                       n=cfg.eval.landscape_n, seed=cfg.eval.seed)
     path = os.path.join(cfg.output.dir, f"landscape_{cfg.train.method}.csv")
@@ -125,6 +147,11 @@ def sweep(config_path, overrides, param, values, out_root):
     """One run per value of a dotted config parameter; merged sweep.csv."""
     if not values or not all(v.strip() for v in values):
         raise ValidationError([f"sweep over {param}: empty value in {values!r}"])
+    env = os.environ.get("SLATLAB_THREADS")
+    try:
+        workers = max(1, int(env) if env else min(len(values), os.cpu_count() or 1))
+    except ValueError:
+        raise ValidationError([f"SLATLAB_THREADS: not an integer: {env!r}"]) from None
     os.makedirs(out_root, exist_ok=True)
 
     def one(value):
@@ -141,9 +168,6 @@ def sweep(config_path, overrides, param, values, out_root):
         except (ParseError, ValidationError, *INPUT_ERRORS) as exc:
             return value, 1, {"error": str(exc)}
 
-    env = os.environ.get("SLATLAB_THREADS")
-    workers = int(env) if env else min(len(values), os.cpu_count() or 1)
-    workers = max(1, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(one, values))
 
@@ -249,11 +273,10 @@ def main(argv=None):
         if args.verb == "eval":
             return run(cfg, ckpt=args.ckpt, eval_only=True)
         if args.verb == "landscape":
-            _, test_ds = build_datasets(cfg)
-            model = build_model(cfg)
-            models_mod.load_into(model, models_mod.load_checkpoint(args.ckpt))
+            _, test_ds, model = _load(cfg, args.ckpt)
             os.makedirs(cfg.output.dir, exist_ok=True)
-            print(_save_landscape(cfg, model, test_ds))
+            subset = training.eval_subset(test_ds, cfg.eval.n_eval, cfg.seed)
+            print(_save_landscape(cfg, model, subset))
             return 0
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,9 +27,6 @@ class ValidationError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-_ZOO_SITES = {"linear": (0,), "toy_mlp": (0, 1), "small_cnn": (0, 1, 2)}
-
-
 def parse_number(text):
     """Float literal or a/b fraction, so radii read like the usual 8/255."""
     text = str(text).strip()
@@ -205,16 +202,11 @@ def parse_config(path=None, overrides=None):
         raise ValidationError(problems)
     cfg.train.seed = cfg.seed
     cfg.train.augment_pad = cfg.data.augment_pad
-    eta = cfg.model.eta
-    cfg.train.eta = (dict(eta) if isinstance(eta, dict)
-                     else {k: eta for k in _sites(cfg)})
+    cfg.train.eta = models_mod.site_steps(
+        cfg.model.eta, models_mod.zoo_sites(cfg.model.zoo, cfg.model.k))
     if cfg.eval.epsilon is None:
         cfg.eval.epsilon = cfg.train.epsilon
     return cfg
-
-
-def _sites(cfg):
-    return cfg.model.k if cfg.model.k is not None else _ZOO_SITES[cfg.model.zoo]
 
 
 def _fill_defaults(cfg, explicit):
@@ -234,32 +226,33 @@ def _fill_defaults(cfg, explicit):
         cfg.model.classes = 10
 
 
-def _finite_nonneg(value):
-    return math.isfinite(value) and value >= 0
-
-
 def _validate(cfg):
     problems = []
     eta = cfg.model.eta
     etas = eta.values() if isinstance(eta, dict) else [eta]
-    if not all(_finite_nonneg(v) for v in etas):
+    if not all(math.isfinite(v) and v >= 0 for v in etas):
         problems.append("model.eta (default: train.epsilon) must be finite and >= 0")
-    if cfg.model.zoo not in _ZOO_SITES:
+    if cfg.model.zoo not in models_mod.ZOO_SITES:
         problems.append(f"model.zoo: unknown zoo {cfg.model.zoo!r}")
     else:
-        avail = set(_ZOO_SITES[cfg.model.zoo])
-        if cfg.model.k is not None and not set(cfg.model.k) <= avail:
+        avail = set(models_mod.ZOO_SITES[cfg.model.zoo])
+        sites = avail if cfg.model.k is None else set(cfg.model.k)
+        if not sites <= avail:
             problems.append(
-                f"model.k: sites {sorted(set(cfg.model.k) - avail)} not available "
+                f"model.k: sites {sorted(sites - avail)} not available "
                 f"for {cfg.model.zoo} (has {sorted(avail)})")
-        elif isinstance(eta, dict) and set(eta) != set(_sites(cfg)):
-            sites = set(_sites(cfg))
+        elif isinstance(eta, dict) and set(eta) != sites:
             problems.append(
                 f"model.eta: per-site steps must cover exactly the sites "
                 f"{sorted(sites)}; missing {sorted(sites - set(eta))}, "
                 f"unknown {sorted(set(eta) - sites)}")
     if cfg.model.hidden < 1:
         problems.append("model.hidden must be >= 1")
+    if cfg.model.classes < 2:
+        problems.append("model.classes must be >= 2")
+    if cfg.model.zoo == "small_cnn" and (
+            why := models_mod.small_cnn_shape_problem(cfg.model.in_shape)):
+        problems.append(f"model.in_shape: {why}")
     if cfg.model.activation not in ("relu", "softplus"):
         problems.append(f"model.activation: {cfg.model.activation!r}")
     if cfg.data.kind not in ("toy", "idx"):
@@ -284,37 +277,18 @@ def _validate(cfg):
                 problems.append(f"data.{key}: required for idx datasets")
             elif not os.path.exists(p):
                 problems.append(f"data.{key}: no such file {p!r}")
-    problems += cfg.train.problems()
-    if cfg.eval.co_window < 0:
-        problems.append("eval.co_window must be >= 0")
-    if cfg.eval.alpha is not None and not (math.isfinite(cfg.eval.alpha)
-                                           and cfg.eval.alpha > 0):
-        problems.append("eval.alpha must be finite and > 0")
-    if cfg.eval.epsilon is not None and not _finite_nonneg(cfg.eval.epsilon):
-        problems.append("eval.epsilon must be finite and >= 0")
-    if cfg.eval.attack_steps < 1 or cfg.eval.attack_restarts < 1:
-        problems.append("eval.steps and eval.restarts must be >= 1")
-    if cfg.eval.n_eval < 1 or cfg.eval.align_n < 1:
-        problems.append("eval.n_eval and eval.align_n must be >= 1")
-    if cfg.eval.landscape_n < 2:
-        problems.append("eval.landscape_n must be >= 2")
-    return problems
+    return problems + cfg.train.problems() + cfg.eval.problems()
 
 
 def build_model(cfg):
     m = cfg.model
     if m.zoo == "linear":
-        model = models_mod.build_linear(m.in_shape[0], m.classes, seed=cfg.seed)
-    elif m.zoo == "toy_mlp":
-        model = models_mod.build_toy_mlp(m.hidden, m.activation, seed=cfg.seed)
-    else:
-        sites = m.k if m.k is not None else (0, 1, 2)
-        model = models_mod.build_small_cnn(m.in_shape, m.classes, m.activation,
-                                           seed=cfg.seed, sites=sites)
-    if m.k is not None and m.zoo != "small_cnn":
-        model.site_positions = {k: model.site_positions[k] for k in m.k}
-        model.K = sorted(model.site_positions)
-    return model
+        return models_mod.build_linear(m.in_shape[0], m.classes, seed=cfg.seed)
+    if m.zoo == "toy_mlp":
+        return models_mod.build_toy_mlp(m.hidden, m.activation, seed=cfg.seed,
+                                        sites=m.k)
+    return models_mod.build_small_cnn(m.in_shape, m.classes, m.activation,
+                                      seed=cfg.seed, sites=m.k)
 
 
 def build_datasets(cfg):

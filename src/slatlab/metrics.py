@@ -12,7 +12,7 @@ import numpy as np
 from .attacks import _clamp, input_grad, latent_deltas, r_fgsm, run_attack
 from .autodiff import backward, per_example_xent
 from .data import DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA, rademacher
-from .models import forward_logits, forward_with_latents, loss_grads
+from .models import forward_logits, forward_with_latents, loss_grads, site_steps
 
 
 class DegenerateBoundary(Exception):
@@ -126,8 +126,7 @@ def accumulated_linearization_error(model, x, y, eta):
     realized exactly by one backward sweep per logit component.
     """
     x = np.asarray(x, dtype=np.float64)
-    eta_map = {k: eta for k in model.K} if np.isscalar(eta) else eta
-    deltas = latent_deltas(model, x, y, eta_map)
+    deltas = latent_deltas(model, x, y, site_steps(eta, model.K))
 
     logits, _, tape = forward_with_latents(model, x)
     n_classes = logits.value.shape[1]

@@ -21,6 +21,11 @@ CKPT_VERSION = 1
 
 PARAMETRIC = ("dense", "conv2d")
 
+# The one site table: zoo model -> {site id: position of the layer whose
+# input the site perturbs}. The builders and config read it.
+ZOO_SITES = {"linear": {0: 0}, "toy_mlp": {0: 0, 1: 2},
+             "small_cnn": {0: 0, 1: 3, 2: 6}}
+
 
 class ShapeTooSmall(Exception):
     pass
@@ -39,8 +44,7 @@ class Layer:
 
 
 class Model:
-    def __init__(self, layers, sites, activation="relu", input_shape=(),
-                 n_classes=2, name="model"):
+    def __init__(self, layers, sites, input_shape=(), n_classes=2):
         self.layers = list(layers)
         self.site_positions = {int(k): int(p) for k, p in sites.items()}
         for k, p in self.site_positions.items():
@@ -48,11 +52,13 @@ class Model:
                 raise ValueError(
                     f"site {k} at position {p}: injection must happen strictly "
                     f"before the final layer")
-        self.K = sorted(self.site_positions)
-        self.activation = activation
         self.input_shape = tuple(input_shape)
         self.n_classes = int(n_classes)
-        self.name = name
+
+    @property
+    def K(self):
+        """The site ids, ascending."""
+        return sorted(self.site_positions)
 
     def parameters(self):
         """Named parameter arrays, in deterministic order."""
@@ -65,8 +71,7 @@ class Model:
     def copy(self):
         layers = [Layer(l.kind, **{n: a.copy() for n, a in l.arrays.items()})
                   for l in self.layers]
-        return Model(layers, self.site_positions, self.activation,
-                     self.input_shape, self.n_classes, self.name)
+        return Model(layers, self.site_positions, self.input_shape, self.n_classes)
 
 
 def _check_batch(model, x):
@@ -179,6 +184,22 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-lim, lim, size=shape)
 
 
+def zoo_sites(zoo, sites=None):
+    """{site id: layer position} for `sites` of a zoo model (None: all)."""
+    table = ZOO_SITES[zoo]
+    for k in sites or ():
+        if k not in table:
+            raise UnknownSite(k)
+    return {k: table[k] for k in (table if sites is None else sites)}
+
+
+def site_steps(eta, sites):
+    """{site: step}: `eta` if it is that mapping, else `eta` at every site."""
+    if isinstance(eta, dict):
+        return {int(k): float(v) for k, v in eta.items()}
+    return dict.fromkeys(sites, float(eta))
+
+
 def build_linear(d_in, classes, seed=0):
     """Single dense layer; the oracle model for attack-optimality tests."""
     if d_in < 1 or classes < 2:
@@ -186,12 +207,11 @@ def build_linear(d_in, classes, seed=0):
     rng = np.random.default_rng(seed)
     layer = Layer("dense", w=_glorot(rng, d_in, classes, (d_in, classes)),
                   b=np.zeros(classes))
-    return Model([layer], sites={0: 0}, input_shape=(d_in,), n_classes=classes,
-                 name="linear")
+    return Model([layer], zoo_sites("linear"), input_shape=(d_in,), n_classes=classes)
 
 
-def build_toy_mlp(hidden=16, activation="relu", seed=0):
-    """2-d input, one hidden layer, 2 classes; injection sites K={0,1}."""
+def build_toy_mlp(hidden=16, activation="relu", seed=0, sites=None):
+    """2-d input, one hidden layer, 2 classes; sites: a subset of {0, 1} (None: all)."""
     if hidden < 1:
         raise ValueError("hidden must be >= 1")
     rng = np.random.default_rng(seed)
@@ -200,22 +220,31 @@ def build_toy_mlp(hidden=16, activation="relu", seed=0):
         Layer(activation),
         Layer("dense", w=_glorot(rng, hidden, 2, (hidden, 2)), b=np.zeros(2)),
     ]
-    return Model(layers, sites={0: 0, 1: 2}, activation=activation,
-                 input_shape=(2,), n_classes=2, name="toy_mlp")
+    return Model(layers, zoo_sites("toy_mlp", sites), input_shape=(2,), n_classes=2)
+
+
+def small_cnn_shape_problem(in_shape):
+    """Why the small CNN cannot take inputs of this shape, or None."""
+    if len(in_shape) != 3:
+        return f"need a (C, H, W) shape, got {in_shape}"
+    if in_shape[1] < 8 or in_shape[2] < 8:
+        return f"need H,W >= 8, got {in_shape}"
+    if in_shape[1] % 4 or in_shape[2] % 4:
+        return f"two 2x2 pools need H,W divisible by 4, got {in_shape}"
+    return None
 
 
 def build_small_cnn(in_shape=(1, 28, 28), classes=10, activation="relu",
-                    seed=0, sites=(0, 1, 2)):
+                    seed=0, sites=None):
     """conv16-pool / conv32-pool / dense; sites at input and after each block.
 
-    `sites` selects a subset of {0: input, 1: after block 1, 2: after block 2},
-    which is how the deeper-injection ablation variants are built.
+    `sites` selects a subset of {0: input, 1: after block 1, 2: after block 2}
+    (None: all), which is how the deeper-injection ablation variants are built.
     """
+    problem = small_cnn_shape_problem(in_shape)
+    if problem:
+        raise ShapeTooSmall(problem)
     c, h, w = in_shape
-    if h < 8 or w < 8:
-        raise ShapeTooSmall(f"need H,W >= 8, got {in_shape}")
-    if h % 4 or w % 4:
-        raise ShapeTooSmall(f"two 2x2 pools need H,W divisible by 4, got {in_shape}")
     rng = np.random.default_rng(seed)
     flat = 32 * (h // 4) * (w // 4)
     layers = [
@@ -229,10 +258,8 @@ def build_small_cnn(in_shape=(1, 28, 28), classes=10, activation="relu",
         Layer("dense", w=_glorot(rng, flat, classes, (flat, classes)),
               b=np.zeros(classes)),
     ]
-    positions = {0: 0, 1: 3, 2: 6}
-    chosen = {k: positions[k] for k in sites}
-    return Model(layers, sites=chosen, activation=activation,
-                 input_shape=tuple(in_shape), n_classes=classes, name="small_cnn")
+    return Model(layers, zoo_sites("small_cnn", sites), input_shape=in_shape,
+                 n_classes=classes)
 
 
 def save_checkpoint(model, path):

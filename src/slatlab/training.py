@@ -14,7 +14,7 @@ from . import metrics as metrics_mod
 from .attacks import _clamp, deltas_from_tape, fgsm, latent_deltas, pgd, r_fgsm
 from .autodiff import _GRAPH_VJPS, UnsupportedOps, backward, per_example_xent
 from .data import augment_pad_crop
-from .models import forward_logits, forward_with_latents, loss_grads
+from .models import forward_logits, forward_with_latents, loss_grads, site_steps
 
 METHODS = ("standard", "fgsm_at", "fgsm_rs", "pgd_at", "slat",
            "slat_fast_ga", "fgsm_rs_latent")
@@ -24,8 +24,17 @@ class NonFiniteGradient(Exception):
     pass
 
 
+class _Validated:
+    """A settings dataclass whose constructor raises on any of its problems()."""
+
+    def __post_init__(self):
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
 @dataclass
-class TrainSpec:
+class TrainSpec(_Validated):
     method: str = "slat"
     epochs: int = 1
     batch: int = 128
@@ -41,11 +50,6 @@ class TrainSpec:
     checkpoint_every: int = 0      # 0: once per epoch
     peak_fraction: float = 0.4
     augment_pad: int = field(default=0, metadata={"ini": None})
-
-    def __post_init__(self):
-        problems = self.problems()
-        if problems:
-            raise ValueError("; ".join(problems))
 
     def problems(self):
         """Every violated rule, each message naming its [train] INI key;
@@ -70,13 +74,11 @@ class TrainSpec:
         return problems
 
     def eta_for(self, model):
-        if self.eta is not None:
-            return {int(k): float(v) for k, v in self.eta.items()}
-        return {k: self.epsilon for k in model.K}
+        return site_steps(self.epsilon if self.eta is None else self.eta, model.K)
 
 
 @dataclass
-class EvalSettings:
+class EvalSettings(_Validated):
     """Measurement knobs: per-checkpoint records, the final robust
     accuracy, the loss landscape and the overfitting detector. The [eval]
     INI section."""
@@ -89,6 +91,26 @@ class EvalSettings:
     seed: int = 9001
     landscape_n: int = 21
     co_window: int = 0             # 0: two epochs worth of steps
+
+    def problems(self):
+        """Every violated rule, each message naming its [eval] INI key;
+        config.parse_config reports these with the other sections' rules."""
+        problems = []
+        if self.co_window < 0:
+            problems.append("eval.co_window must be >= 0")
+        if self.alpha is not None and not (math.isfinite(self.alpha)
+                                           and self.alpha > 0):
+            problems.append("eval.alpha must be finite and > 0")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon)
+                                             and self.epsilon >= 0):
+            problems.append("eval.epsilon must be finite and >= 0")
+        if self.attack_steps < 1 or self.attack_restarts < 1:
+            problems.append("eval.steps and eval.restarts must be >= 1")
+        if self.n_eval < 1 or self.align_n < 1:
+            problems.append("eval.n_eval and eval.align_n must be >= 1")
+        if self.landscape_n < 2:
+            problems.append("eval.landscape_n must be >= 2")
+        return problems
 
 
 @dataclass
@@ -137,7 +159,7 @@ def _slat_inputs(model, x, y, spec, clamp):
     """One clean sweep -> (x + delta_0, the other sites' deltas, clean input
     gradient)."""
     _, tape = loss_grads(model, x, y, wrt="inputs")
-    deltas = deltas_from_tape(tape, model.K, spec.eta_for(model))
+    deltas = deltas_from_tape(tape, spec.eta_for(model))
     x_in = _clamp(x + deltas.pop(0), clamp) if 0 in deltas else x
     return x_in, deltas, tape.grads[tape.input.idx]
 
@@ -225,8 +247,8 @@ def slat_fast_ga_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
 def fgsm_rs_latent_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
     """Random-start input adversary combined with clean-derived latent deltas."""
     x_adv = r_fgsm(model, x, y, spec.epsilon, clamp=clamp, seed=step_seed)
-    latent = latent_deltas(model, x, y, spec.eta_for(model),
-                           K=[k for k in model.K if k != 0])
+    eta = spec.eta_for(model)
+    latent = latent_deltas(model, x, y, {k: e for k, e in eta.items() if k != 0})
     return _update(model, x_adv, y, spec, state, lr, latent)
 
 

@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from slatlab import data as data_mod
 
@@ -17,6 +18,16 @@ def _run_in_tmp_path(tmp_path, monkeypatch):
     """Run every test from its own tmp_path, so that a CLI default output
     directory (out/, sweep_out/) never lands in the checkout."""
     monkeypatch.chdir(tmp_path)
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    """Keep Hypothesis's storage in a pytest temporary directory, not in
+    .hypothesis/ where pytest was started. Hypothesis writes its constants
+    cache during collection and its unicode tables when a test first draws
+    text, even with database=None. trylast: pytest's tmp_path factory is set
+    up by then."""
+    set_hypothesis_home_dir(config._tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture(scope="session")

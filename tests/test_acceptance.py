@@ -294,9 +294,7 @@ def test_a9_reductions():
         ds = gen_toy(ToySpec(n_per_class=32, seed=9))
         x, y = ds.xs[:32], ds.ys[:32]
         spec = TrainSpec(method="slat", epsilon=0.1, eta={0: 0.1}, lr_max=0.1)
-        m1 = build_toy_mlp(8, seed=9)
-        m1.site_positions = {0: 0}
-        m1.K = [0]
+        m1 = build_toy_mlp(8, seed=9, sites=(0,))
         m2 = build_toy_mlp(8, seed=9)
         s1, s2 = init_optimizer(m1), init_optimizer(m2)
         for _ in range(5):

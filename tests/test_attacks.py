@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from slatlab.attacks import (AttackSpec, fgsm, input_grad, latent_deltas, pgd,
-                             r_fgsm, run_attack)
-from slatlab.autodiff import UnknownSite, per_example_xent
+from slatlab.attacks import (AttackSpec, deltas_from_tape, fgsm, input_grad,
+                             latent_deltas, pgd, r_fgsm, run_attack)
+from slatlab.autodiff import Tape, UnknownSite, backward, per_example_xent
 from slatlab.models import build_linear, build_toy_mlp, forward_logits
 
 
@@ -133,7 +133,12 @@ def test_latent_deltas_definition_and_zero_eta():
 def test_latent_delta_sign_convention():
     # grad [0.3, -0.2, 0] at eta 0.1 -> [0.1, -0.1, 0]; sign(0) stays 0
     g = np.array([0.3, -0.2, 0.0])
-    assert np.array_equal(0.1 * np.sign(g), [0.1, -0.1, 0.0])
+    tape = Tape()
+    h = tape.leaf(np.ones(3))
+    tape.register_site(0, h)
+    gh = tape.record("dense", [h, g[:, None], np.zeros(1)])      # d(g.h)/dh = g
+    backward(tape, tape.record("sum_all", [gh]))
+    assert np.array_equal(deltas_from_tape(tape, {0: 0.1})[0], [0.1, -0.1, 0.0])
 
 
 def test_latent_delta_at_input_site_equals_fgsm_perturbation():
@@ -142,7 +147,7 @@ def test_latent_delta_at_input_site_equals_fgsm_perturbation():
     x = rng.normal(size=(5, 2))
     y = rng.integers(0, 2, size=5)
     eps = 0.13
-    deltas = latent_deltas(m, x, y, K=[0], eta={0: eps})
+    deltas = latent_deltas(m, x, y, eta={0: eps})
     adv = fgsm(m, x, y, eps)       # no clamp
     np.testing.assert_array_equal(x + deltas[0], adv)
 
@@ -150,7 +155,7 @@ def test_latent_delta_at_input_site_equals_fgsm_perturbation():
 def test_latent_deltas_unknown_site():
     m = build_linear(2, 2)
     with pytest.raises(UnknownSite):
-        latent_deltas(m, np.zeros((1, 2)), np.array([0]), K=[3], eta={3: 0.1})
+        latent_deltas(m, np.zeros((1, 2)), np.array([0]), eta={3: 0.1})
 
 
 def test_sign_dot_is_l1_norm():

@@ -12,7 +12,7 @@ from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets
 from slatlab.data import write_idx_images, write_idx_labels
 from slatlab.metrics import read_metrics_csv
 from slatlab.models import build_small_cnn, save_checkpoint
-from slatlab.training import TrainSpec
+from slatlab.training import EvalSettings, TrainSpec
 
 FAST_TOY = """
 [run]
@@ -210,6 +210,20 @@ def test_train_rules_have_one_owner(field, value):
     assert [p for p in err.value.problems if f"train.{field}" in p]
 
 
+@pytest.mark.parametrize("field,key,value", [
+    ("attack_steps", "steps", 0), ("attack_restarts", "restarts", 0),
+    ("n_eval", "n_eval", 0), ("align_n", "align_n", 0),
+    ("landscape_n", "landscape_n", 1), ("alpha", "alpha", -1.0),
+    ("alpha", "alpha", float("nan")), ("epsilon", "epsilon", -0.1),
+    ("epsilon", "epsilon", float("inf")), ("co_window", "co_window", -1)])
+def test_eval_rules_have_one_owner(field, key, value):
+    with pytest.raises(ValueError, match=f"eval.{key}"):
+        EvalSettings(**{field: value})
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {f"eval.{key}": str(value)})
+    assert [p for p in err.value.problems if f"eval.{key}" in p]
+
+
 def test_image_only_counts_must_be_nonnegative():
     with pytest.raises(ValidationError) as err:
         parse_config(None, {**IDX_TASK, "data.augment_pad": "-1", "data.limit": "-1"})
@@ -255,6 +269,18 @@ def test_k_subset_validation():
     cfg = parse_config(None, {"model.zoo": "toy_mlp", "model.k": "1",
                               "model.eta": "1:0.2"})
     assert cfg.train.eta == {1: 0.2}
+
+
+@pytest.mark.parametrize("overrides,positions", [
+    ({"model.zoo": "toy_mlp", "model.k": "1"}, {1: 2}),
+    ({"model.zoo": "toy_mlp", "model.k": "0"}, {0: 0}),
+    ({"model.zoo": "toy_mlp"}, {0: 0, 1: 2}),
+    ({**IDX_TASK, "model.in_shape": "1x8x8", "model.k": "0,2"}, {0: 0, 2: 6}),
+    ({**IDX_TASK, "model.in_shape": "1x8x8"}, {0: 0, 1: 3, 2: 6})])
+def test_build_model_builds_the_sites_of_model_k(overrides, positions):
+    cfg = parse_config(None, overrides)
+    assert build_model(cfg).site_positions == positions
+    assert set(cfg.train.eta) == set(positions)
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -371,6 +397,38 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, bad_input, prefix):
     assert not out.exists()
 
 
+def _eight_digit_images(tmp_path):
+    """Overrides for an IDX task of eight 8x8 images, labels running 0-9."""
+    images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+    write_idx_images(np.zeros((8, 8, 8), dtype=np.uint8), images)
+    write_idx_labels(np.array([0, 1, 2, 3, 4, 7, 8, 9]), labels)
+    return ["--data.kind=idx", *(f"--data.{split}_{part}={path}"
+                                 for split in ("train", "test")
+                                 for part, path in (("images", images),
+                                                    ("labels", labels)))]
+
+
+@pytest.mark.parametrize("overrides,prefix,named", [
+    (["--model.in_shape=1x6x6"], "config error:", "model.in_shape"),
+    (["--model.in_shape=1x10x10"], "config error:", "model.in_shape"),
+    (["--model.in_shape=1x8x8", "--model.classes=1"], "config error:",
+     "model.classes"),
+    ([], "input error:", "(1, 28, 28)"),
+    (["--model.zoo=toy_mlp"], "input error:", "toy_mlp"),
+    (["--model.in_shape=1x8x8", "--model.classes=3"], "input error:", "3 classes")],
+    ids=["in_shape_6x6", "in_shape_10x10", "one_class", "default_28x28",
+         "toy_mlp", "three_classes"])
+def test_cli_reports_a_model_that_does_not_fit_its_data_in_one_line(
+        tmp_path, capsys, overrides, prefix, named):
+    out = tmp_path / "out"
+    code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 *_eight_digit_images(tmp_path), *overrides])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith(prefix)
+    assert named in err[0]
+    assert not out.exists()
+
+
 def _idx_task(tmp_path, n_train, n_test):
     """Overrides for an 8x8 IDX task of n_train and n_test random images."""
     rng = np.random.default_rng(0)
@@ -452,6 +510,18 @@ def test_sweep_merges_rows(tmp_path, monkeypatch):
     assert lines[1].startswith("0.05,0")
 
 
+def test_sweep_reports_a_bad_thread_count_in_one_line(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setenv("SLATLAB_THREADS", "abc")
+    out = tmp_path / "sweep_out"
+    code = main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--param", "train.epsilon", "--values", "0.05,0.1"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
+    assert "SLATLAB_THREADS" in err[0]
+    assert not out.exists()
+
+
 def test_sweep_empty_values_is_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path)
     for values in ("", "0.1,", ",0.1"):
@@ -495,3 +565,14 @@ def test_cli_landscape_verb(tmp_path):
     assert main(["landscape", "--config", path, "--out", out,
                  "--ckpt", os.path.join(out, "final.ckpt")]) == 0
     assert (tmp_path / "ls_out" / "landscape_slat.csv").exists()
+
+
+def test_landscape_verb_evaluates_the_examples_eval_does(tmp_path):
+    path = write_cfg(tmp_path)
+    out, ev_out, ls_out = (tmp_path / d for d in ("out", "ev_out", "ls_out"))
+    assert main(["train", "--config", path, "--out", str(out)]) == 0
+    ckpt = str(out / "final.ckpt")
+    for verb, where in (("eval", ev_out), ("landscape", ls_out)):
+        assert main([verb, "--config", path, "--out", str(where), "--ckpt", ckpt]) == 0
+    assert ((ls_out / "landscape_slat.csv").read_bytes()
+            == (ev_out / "landscape_slat.csv").read_bytes())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from slatlab.autodiff import (ShapeMismatch, Tape, UnknownSite, backward,
                               pass_counts)
-from slatlab.models import (CheckpointError, ShapeTooSmall, build_linear,
+from slatlab.models import (CheckpointError, Layer, Model, ShapeTooSmall, build_linear,
                             build_small_cnn, build_toy_mlp, forward_logits,
                             forward_with_latents, load_checkpoint, load_into,
                             loss_grads, save_checkpoint)
@@ -56,6 +56,29 @@ def test_small_cnn_deep_site_variant():
     _, latents, _ = forward_with_latents(m, np.zeros((1, 1, 28, 28)))
     assert set(latents) == {0, 2}
     assert latents[2].shape == (1, 32, 7, 7)
+
+
+@pytest.mark.parametrize("build,sites,positions", [
+    (build_toy_mlp, (1,), {1: 2}),
+    (build_toy_mlp, None, {0: 0, 1: 2}),
+    (lambda sites: build_small_cnn((1, 8, 8), 3, sites=sites), (2, 0), {2: 6, 0: 0}),
+    (lambda sites: build_small_cnn((1, 8, 8), 3, sites=sites), None,
+     {0: 0, 1: 3, 2: 6})])
+def test_builders_read_their_sites_from_the_zoo_table(build, sites, positions):
+    m = build(sites=sites)
+    assert m.site_positions == positions
+    assert m.K == sorted(positions) == m.copy().K
+    with pytest.raises(UnknownSite):
+        build(sites=(3,))
+
+
+def test_site_ids_follow_site_positions_and_cannot_be_assigned():
+    m = Model([Layer("relu"), Layer("relu"), Layer("flatten")], {2: 1, 0: 0})
+    assert m.K == [0, 2]
+    m.site_positions.pop(2)
+    assert m.K == [0]
+    with pytest.raises(AttributeError):
+        setattr(m, "K", [0, 2])
 
 
 def test_small_cnn_rejects_tiny_input():

@@ -87,9 +87,7 @@ def test_slat_reduces_to_fgsm_at_input_site():
     spec = TrainSpec(method="slat", epsilon=0.1, eta={0: 0.1}, lr_max=0.1,
                      weight_decay=5e-4)
     for clamp in (None, (-3.0, 3.0)):
-        m1 = build_toy_mlp(8, seed=5)
-        m1.site_positions = {0: 0}
-        m1.K = [0]
+        m1 = build_toy_mlp(8, seed=5, sites=(0,))
         m2 = build_toy_mlp(8, seed=5)
         s1, s2 = init_optimizer(m1), init_optimizer(m2)
         for step in range(3):
