@@ -5,6 +5,7 @@ a single backward sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,13 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ("fgsm", "r_fgsm", "pgd"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if self.alpha is not None and not (math.isfinite(self.alpha)
+                                           and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 def input_grad(model, x, y):
@@ -106,8 +108,8 @@ def deltas_from_tape(tape, eta):
     for k, e in eta.items():
         if k not in tape.sites:
             raise UnknownSite(k)
-        if e < 0:
-            raise ValueError(f"eta[{k}] must be >= 0")
+        if not (math.isfinite(e) and e >= 0):
+            raise ValueError(f"eta[{k}] must be finite and >= 0, got {e}")
         out[k] = float(e) * np.sign(tape.grads[tape.sites[k]])
     return out
 

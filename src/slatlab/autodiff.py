@@ -102,7 +102,8 @@ class Node:
         self.inputs = inputs          # tuple of node indices
         self.value = value
         self.params = params or {}    # non-tensor op parameters (labels, scale c, ...)
-        self.meta = meta              # cached intermediates for the backward pass
+        self.meta = meta              # forward intermediates the backward reads
+                                      # (None when it recomputes or needs none)
 
     @property
     def shape(self):
@@ -118,7 +119,7 @@ class Tape:
     def __init__(self):
         self.nodes = []
         self.sites = {}      # site id -> node idx
-        self.grads = {}      # node idx -> ndarray, filled by backward()
+        self.grads = {}      # leaf or site node idx -> ndarray, filled by backward()
         self.skip = ()       # node idxs whose gradients backward() skips
         self.input = None    # set by model forward helpers
         self.params = {}     # param name -> Node, set by model forward helpers
@@ -167,21 +168,27 @@ def _fwd_conv2d(values, params):
         raise ShapeMismatch("conv2d", "odd square kernel", (kh, kw))
     if b.shape != (f,):
         raise ShapeMismatch("conv2d", (f,), b.shape)
-    p = kh // 2
     bsz, _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    # im2col by one slab copy per tap, each moving contiguous W-runs: the
-    # transposed flat view of `buf` is the (B*H*W, C*kh*kw) column matrix,
-    # F-contiguous, so the backward's cols.T is C-contiguous
-    buf = np.empty((c, kh, kw, bsz, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, i, j] = xp[:, :, i:i + h, j:j + w].transpose(1, 0, 2, 3)
-    cols = buf.reshape(c * kh * kw, bsz * h * w).T
-    out = cols @ k.reshape(f, -1).T
+    # the columns are not kept: the kernel gradient rebuilds them
+    out = _im2col(x, kh) @ k.reshape(f, -1).T
     out += b
     out = out.reshape(bsz, h, w, f).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out), {"cols": cols}
+    return np.ascontiguousarray(out), None
+
+
+def _im2col(x, kh):
+    """The (B*H*W, C*kh*kh) column matrix of x[B,C,H,W] for a zero-padded
+    kh x kh kernel, built by one slab copy per tap, each moving contiguous
+    W-runs: it is the transposed flat view of a (C, kh, kh, B, H, W) buffer,
+    F-contiguous, so the kernel gradient's cols.T is C-contiguous."""
+    p = kh // 2
+    bsz, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    buf = np.empty((c, kh, kh, bsz, h, w))
+    for i in range(kh):
+        for j in range(kh):
+            buf[:, i, j] = xp[:, :, i:i + h, j:j + w].transpose(1, 0, 2, 3)
+    return buf.reshape(c * kh * kh, bsz * h * w).T
 
 
 def _fwd_relu(values, params):
@@ -365,7 +372,7 @@ def _vjp_conv2d(tape, node, g):
     p = kh // 2
     g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * h * w, f)
     skip = tape.skip
-    gk = None if ki in skip else (node.meta["cols"].T @ g2).T.reshape(f, c, kh, kw)
+    gk = None if ki in skip else (_im2col(x, kh).T @ g2).T.reshape(f, c, kh, kw)
     gb = None if bi in skip else g.sum(axis=(0, 2, 3))
     if xi in skip:
         return [None, gk, gb]
@@ -565,9 +572,11 @@ _GRAPH_VJPS = {
 def backward(tape, loss, as_graph=False, skip=()):
     """One reverse sweep from a scalar loss node.
 
-    Numeric mode fills tape.grads (node idx -> ndarray) and returns it.
-    Graph mode appends the adjoint computation to the tape and returns a
-    dict node idx -> Node, enabling gradients of gradient expressions.
+    Numeric mode fills tape.grads (node idx -> ndarray) with the gradients
+    of leaf and site nodes and returns it; every other adjoint is dropped
+    once it has been passed to its node's inputs. Graph mode appends the
+    adjoint computation to the tape and returns a dict node idx -> Node for
+    every node reached, enabling gradients of gradient expressions.
     In numeric mode, the dense and conv2d rules compute no gradient for a
     node idx in `skip`, so nothing flows into or through it; every other
     gradient gets the same contributions in the same order as a full sweep.
@@ -582,14 +591,16 @@ def backward(tape, loss, as_graph=False, skip=()):
     else:
         seed = np.ones(())
     adj = {loss.idx: seed}
+    sites = set(tape.sites.values())
 
     for i in range(loss.idx, -1, -1):
-        g = adj.get(i)
-        if g is None:
+        if i not in adj:
             continue
         node = tape.nodes[i]
         if node.op == "leaf":
             continue
+        # every contribution to adj[i] came from a later node, so it is whole
+        g = adj[i] if as_graph or i in sites else adj.pop(i)
         if as_graph:
             rule = _GRAPH_VJPS.get(node.op)
             if rule is None:

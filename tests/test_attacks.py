@@ -79,6 +79,20 @@ def test_attack_spec_defaults_and_validation():
         AttackSpec(kind="pgd", steps=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_attack_steps_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match="epsilon"):
+        AttackSpec(kind="pgd", epsilon=bad)
+    with pytest.raises(ValueError, match="alpha"):
+        AttackSpec(kind="pgd", alpha=bad)
+    tape = Tape()
+    h = tape.leaf(np.ones(3))
+    tape.register_site(0, h)
+    backward(tape, tape.record("sum_all", [h]))
+    with pytest.raises(ValueError, match="eta"):
+        deltas_from_tape(tape, {0: bad})
+
+
 def test_ball_containment_and_clamp():
     rng = np.random.default_rng(3)
     m = build_toy_mlp(8, seed=3)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from slatlab import autodiff
 from slatlab.autodiff import (LabelOutOfRange, NonScalarLoss, ShapeMismatch,
                               Tape, UnsupportedOps, backward, grad_check,
                               pass_counts, per_example_xent, reset_pass_counts)
+from slatlab.models import build_small_cnn, forward_with_latents, loss_grads
 
 
 def test_dense_identity():
@@ -196,6 +198,7 @@ def test_maxpool_ties_send_the_gradient_to_the_first_maximum():
                       [-0.5, 0.0, 3.0, 2.0, 5.0, 5.0, 1.0, 4.0]]]])
     t = Tape()
     h = t.record("relu", [pre])
+    t.register_site(0, h)
     pooled = t.record("maxpool2x2", [h])
     assert np.array_equal(pooled.value, [[[[0.0, 3.0, 5.0, 4.0]]]])
     up = np.array([[[[10.0, 20.0, 30.0, -40.0]]]])
@@ -243,6 +246,30 @@ def _sliding_window_cols(x, kh):
 def test_conv2d_columns_match_the_sliding_window_layout(c, h, f, bsz):
     rng = np.random.default_rng(bsz)
     x = rng.normal(size=(bsz, c, h, h))
-    t = Tape()
-    out = t.record("conv2d", [x, rng.normal(size=(f, c, 3, 3)), rng.normal(size=f)])
-    assert np.array_equal(out.meta["cols"], _sliding_window_cols(x, 3))
+    assert np.array_equal(autodiff._im2col(x, 3), _sliding_window_cols(x, 3))
+
+
+@pytest.mark.parametrize("bsz", [1, 7, 64])
+def test_conv2d_kernel_gradients_match_sliding_window_columns(bsz):
+    model = build_small_cnn((1, 28, 28), 10, seed=bsz)
+    rng = np.random.default_rng(bsz)
+    x = rng.normal(size=(bsz, 1, 28, 28))
+    y = rng.integers(0, 10, size=bsz)
+    tape = loss_grads(model, x, y, wrt="all")[1]
+    # the reference: the same sweep with each conv output kept as a site,
+    # its gradient contracted with columns in the sliding-window layout
+    logits, _, ref = forward_with_latents(model, x)
+    convs = [node for node in ref.nodes if node.op == "conv2d"]
+    for j, node in enumerate(convs):
+        ref.register_site(100 + j, node)
+    backward(ref, ref.record("loss_softmax_xent", [logits], labels=y,
+                             reduction="sum"))
+    names = {node.idx: name for name, node in ref.params.items()}
+    for node in convs:
+        xi, ki, _ = node.inputs
+        k = ref.nodes[ki].value
+        g2 = ref.grads[node.idx].transpose(0, 2, 3, 1).reshape(-1, k.shape[0])
+        cols = _sliding_window_cols(ref.nodes[xi].value, 3)
+        want = (cols.T @ g2).T.reshape(k.shape)
+        got = tape.grads[tape.params[names[ki]].idx]
+        np.testing.assert_allclose(got, want, rtol=1e-12)

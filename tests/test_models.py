@@ -206,6 +206,24 @@ def test_pruned_sweeps_are_bit_identical(case):
             assert np.array_equal(g, full.grads[idx]), (wrt, idx)
 
 
+@pytest.mark.parametrize("case", sorted(PRUNE_CASES))
+def test_a_swept_tape_retains_only_what_its_backward_reads(case):
+    model = PRUNE_CASES[case][0]()
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=PRUNE_CASES[case][1])
+    y = np.arange(len(x)) % model.n_classes
+    _, latents, _ = forward_with_latents(model, x)
+    deltas = {k: 0.05 * rng.normal(size=h.shape) for k, h in latents.items()}
+    tapes = {wrt: loss_grads(model, x, y, deltas, wrt=wrt)[1]
+             for wrt in ("all", "inputs", "params")}
+    for wrt, tape in tapes.items():
+        assert all(node.meta is None for node in tape.nodes if node.op == "conv2d")
+        kept = {node.idx for node in tape.nodes if node.op == "leaf"}
+        assert set(tape.grads) <= kept | set(tape.sites.values()), wrt
+        for idx, g in tape.grads.items():
+            assert np.array_equal(g, tapes["all"].grads[idx]), (wrt, idx)
+
+
 def test_loss_grads_rejects_unknown_wrt():
     with pytest.raises(ValueError, match="wrt"):
         loss_grads(build_toy_mlp(4), np.zeros((1, 2)), [0], wrt="sites")
