@@ -3,9 +3,7 @@
 Forward values are computed eagerly onto a Tape. Named injection sites mark
 latent representations; one backward sweep fills gradients for every node,
 so site gradients come out of the same sweep that produces input and
-parameter gradients. A second, graph-building backward mode supports
-double differentiation for the smooth op subset (dense/softplus/add/scale/
-cross-entropy), which the gradient-alignment trainer needs.
+parameter gradients.
 """
 
 from __future__ import annotations
@@ -251,16 +249,7 @@ def _fwd_loss_xent(values, params):
     raise ShapeMismatch("loss_softmax_xent", "[C] or [B,C]", z.shape)
 
 
-# internal ops --------------------------------------------------------------
-
-def _fwd_matmul(values, params):
-    a, b = values
-    return a @ b, None
-
-
-def _fwd_transpose(values, params):
-    return values[0].T, None
-
+# scaffolding ops: a loss built from them weights another node's entries
 
 def _fwd_mul(values, params):
     a, b = values
@@ -269,60 +258,8 @@ def _fwd_mul(values, params):
     return a * b, None
 
 
-def _fwd_sub(values, params):
-    a, b = values
-    if a.shape != b.shape:
-        raise ShapeMismatch("sub", a.shape, b.shape)
-    return a - b, None
-
-
-def _fwd_sigmoid(values, params):
-    s = sigmoid(values[0])
-    return s, {"s": s}
-
-
-def _fwd_smul(values, params):
-    t, s = values
-    if s.shape != ():
-        raise ShapeMismatch("smul", "scalar second input", s.shape)
-    return t * s, None
-
-
-def _fwd_sum_rows(values, params):
-    return values[0].sum(axis=0), None
-
-
 def _fwd_sum_all(values, params):
     return np.asarray(values[0].sum()), None
-
-
-def _fwd_rows_dot(values, params):
-    u, v = values
-    if u.shape != v.shape or u.ndim != 2:
-        raise ShapeMismatch("rows_dot", "matching [B,d]", (u.shape, v.shape))
-    return (u * v).sum(axis=1), None
-
-
-def _fwd_sqrt(values, params):
-    out = np.sqrt(values[0])
-    return out, {"out": out}
-
-
-def _fwd_div(values, params):
-    a, b = values
-    if a.shape != b.shape:
-        raise ShapeMismatch("div", a.shape, b.shape)
-    return a / b, None
-
-
-def _fwd_mean_all(values, params):
-    return np.asarray(values[0].mean()), None
-
-
-def _fwd_xent_bwd(values, params):
-    # (softmax(z) - onehot(labels)) * factor; adjoint of the xent loss node
-    p = softmax(values[0])
-    return _minus_onehot(p, params["labels"]) * params["factor"], {"p": p}
 
 
 _FORWARD = {
@@ -335,19 +272,8 @@ _FORWARD = {
     "add": _fwd_add,
     "scale": _fwd_scale,
     "loss_softmax_xent": _fwd_loss_xent,
-    "matmul": _fwd_matmul,
-    "transpose": _fwd_transpose,
     "mul": _fwd_mul,
-    "sub": _fwd_sub,
-    "sigmoid": _fwd_sigmoid,
-    "smul": _fwd_smul,
-    "sum_rows": _fwd_sum_rows,
     "sum_all": _fwd_sum_all,
-    "rows_dot": _fwd_rows_dot,
-    "sqrt": _fwd_sqrt,
-    "div": _fwd_div,
-    "mean_all": _fwd_mean_all,
-    "xent_bwd": _fwd_xent_bwd,
 }
 
 
@@ -441,66 +367,14 @@ def _vjp_loss_xent(tape, node, g):
     return [gz * g]
 
 
-def _vjp_matmul(tape, node, g):
-    a, b = (tape.nodes[i].value for i in node.inputs)
-    return [g @ b.T, a.T @ g]
-
-
-def _vjp_transpose(tape, node, g):
-    return [g.T]
-
-
 def _vjp_mul(tape, node, g):
     a, b = (tape.nodes[i].value for i in node.inputs)
     return [g * b, g * a]
 
 
-def _vjp_sub(tape, node, g):
-    return [g, -g]
-
-
-def _vjp_sigmoid(tape, node, g):
-    s = node.meta["s"]
-    return [g * s * (1.0 - s)]
-
-
-def _vjp_smul(tape, node, g):
-    t, s = (tape.nodes[i].value for i in node.inputs)
-    return [g * s, np.asarray((g * t).sum())]
-
-
-def _vjp_sum(tape, node, g):
-    # sum_rows and sum_all: the upstream gradient broadcasts back over x
+def _vjp_sum_all(tape, node, g):
     x = tape.nodes[node.inputs[0]].value
     return [np.broadcast_to(g, x.shape)]
-
-
-def _vjp_rows_dot(tape, node, g):
-    u, v = (tape.nodes[i].value for i in node.inputs)
-    return [g[:, None] * v, g[:, None] * u]
-
-
-def _vjp_sqrt(tape, node, g):
-    return [g * 0.5 / node.meta["out"]]
-
-
-def _vjp_div(tape, node, g):
-    a, b = (tape.nodes[i].value for i in node.inputs)
-    # (g/b)*(a/b), not g*a/(b*b): b*b underflows to 0 for tiny norms
-    return [g / b, -(g / b) * (a / b)]
-
-
-def _vjp_mean_all(tape, node, g):
-    x = tape.nodes[node.inputs[0]].value
-    return [np.broadcast_to(g / x.size, x.shape)]
-
-
-def _vjp_xent_bwd(tape, node, g):
-    # d/dz of (softmax(z)-onehot)*factor contracted with upstream g:
-    # per row, J_softmax^T g = p*g - p*(p.g)
-    p = node.meta["p"]
-    t = (p * g).sum(axis=-1, keepdims=True)
-    return [node.params["factor"] * (p * g - p * t)]
 
 
 _NUMERIC_VJPS = {
@@ -513,84 +387,27 @@ _NUMERIC_VJPS = {
     "add": _vjp_add,
     "scale": _vjp_scale,
     "loss_softmax_xent": _vjp_loss_xent,
-    "matmul": _vjp_matmul,
-    "transpose": _vjp_transpose,
     "mul": _vjp_mul,
-    "sub": _vjp_sub,
-    "sigmoid": _vjp_sigmoid,
-    "smul": _vjp_smul,
-    "sum_rows": _vjp_sum,
-    "sum_all": _vjp_sum,
-    "rows_dot": _vjp_rows_dot,
-    "sqrt": _vjp_sqrt,
-    "div": _vjp_div,
-    "mean_all": _vjp_mean_all,
-    "xent_bwd": _vjp_xent_bwd,
+    "sum_all": _vjp_sum_all,
 }
 
 
-# graph-building VJPs for the double-differentiable subset ------------------
-
-def _gvjp_dense(tape, node, g):
-    xn, wn, _ = (tape.nodes[i] for i in node.inputs)
-    if xn.value.ndim != 2:
-        raise UnsupportedOps("double backward through rank-1 dense")
-    gx = tape.record("matmul", [g, tape.record("transpose", [wn])])
-    gw = tape.record("matmul", [tape.record("transpose", [xn]), g])
-    gb = tape.record("sum_rows", [g])
-    return [gx, gw, gb]
-
-
-def _gvjp_softplus(tape, node, g):
-    xn = tape.nodes[node.inputs[0]]
-    return [tape.record("mul", [g, tape.record("sigmoid", [xn])])]
-
-
-def _gvjp_scale(tape, node, g):
-    return [tape.record("scale", [g], c=node.params["c"])]
-
-
-def _gvjp_loss_xent(tape, node, g):
-    zn = tape.nodes[node.inputs[0]]
-    factor = 1.0
-    if zn.value.ndim == 2 and node.params.get("reduction", "mean") == "mean":
-        factor = 1.0 / zn.value.shape[0]
-    adjoint = tape.record("xent_bwd", [zn],
-                          labels=node.params["labels"], factor=factor)
-    return [tape.record("smul", [adjoint, g])]
-
-
-_GRAPH_VJPS = {
-    "dense": _gvjp_dense,
-    "softplus": _gvjp_softplus,
-    "add": _vjp_add,
-    "scale": _gvjp_scale,
-    "loss_softmax_xent": _gvjp_loss_xent,
-}
-
-
-def backward(tape, loss, as_graph=False, skip=()):
+def backward(tape, loss, *, skip=()):
     """One reverse sweep from a scalar loss node.
 
-    Numeric mode fills tape.grads (node idx -> ndarray) with the gradients
-    of leaf and site nodes and returns it; every other adjoint is dropped
-    once it has been passed to its node's inputs. Graph mode appends the
-    adjoint computation to the tape and returns a dict node idx -> Node for
-    every node reached, enabling gradients of gradient expressions.
-    In numeric mode, the dense and conv2d rules compute no gradient for a
-    node idx in `skip`, so nothing flows into or through it; every other
-    gradient gets the same contributions in the same order as a full sweep.
+    Fills tape.grads (node idx -> ndarray) with the gradients of leaf and
+    site nodes and returns it; every other adjoint is dropped once it has
+    been passed to its node's inputs. The dense and conv2d rules compute no
+    gradient for a node idx in `skip`, so nothing flows into or through it;
+    every other gradient gets the same contributions in the same order as a
+    full sweep.
     """
     if loss.value.shape != ():
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
     _pass_counts["backward"] += 1
     tape.skip = skip
 
-    if as_graph:
-        seed = tape.leaf(1.0)
-    else:
-        seed = np.ones(())
-    adj = {loss.idx: seed}
+    adj = {loss.idx: np.ones(())}
     sites = set(tape.sites.values())
 
     for i in range(loss.idx, -1, -1):
@@ -600,26 +417,13 @@ def backward(tape, loss, as_graph=False, skip=()):
         if node.op == "leaf":
             continue
         # every contribution to adj[i] came from a later node, so it is whole
-        g = adj[i] if as_graph or i in sites else adj.pop(i)
-        if as_graph:
-            rule = _GRAPH_VJPS.get(node.op)
-            if rule is None:
-                raise UnsupportedOps(f"no double-backward rule for op {node.op!r}")
-        else:
-            rule = _NUMERIC_VJPS[node.op]
-        for inp, gi in zip(node.inputs, rule(tape, node, g)):
+        g = adj[i] if i in sites else adj.pop(i)
+        for inp, gi in zip(node.inputs, _NUMERIC_VJPS[node.op](tape, node, g)):
             if gi is None:
                 continue
-            if inp in adj:
-                if as_graph:
-                    adj[inp] = tape.record("add", [adj[inp], gi])
-                else:
-                    adj[inp] = adj[inp] + gi
-            else:
-                adj[inp] = gi
+            adj[inp] = adj[inp] + gi if inp in adj else gi
 
-    if not as_graph:
-        tape.grads = adj
+    tape.grads = adj
     return adj
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import models as models_mod
-from .training import EvalSettings, TrainSpec
+from .training import EvalSettings, TrainSpec, fast_ga_problem
 
 
 class ParseError(Exception):
@@ -277,7 +277,11 @@ def _validate(cfg):
                 problems.append(f"data.{key}: required for idx datasets")
             elif not os.path.exists(p):
                 problems.append(f"data.{key}: no such file {p!r}")
-    return problems + cfg.train.problems() + cfg.eval.problems()
+    problems += cfg.train.problems() + cfg.eval.problems()
+    if not problems and cfg.train.method == "slat_fast_ga" and (
+            why := fast_ga_problem(build_model(cfg))):
+        problems.append(f"train.method: {why}")
+    return problems
 
 
 def build_model(cfg):

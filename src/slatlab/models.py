@@ -150,7 +150,7 @@ def loss_grads(model, x, y, deltas=None, reduction="sum", wrt="all"):
         skip = (tape.stem,)
     else:
         raise ValueError(f"wrt must be 'all', 'inputs' or 'params', got {wrt!r}")
-    backward(tape, loss, False, skip)
+    backward(tape, loss, skip=skip)
     return loss, tape
 
 

@@ -12,12 +12,21 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .attacks import _clamp, deltas_from_tape, fgsm, latent_deltas, pgd, r_fgsm
-from .autodiff import _GRAPH_VJPS, UnsupportedOps, backward, per_example_xent
+from .autodiff import (UnsupportedOps, _minus_onehot, backward, per_example_xent,
+                       softmax)
 from .data import augment_pad_crop
 from .models import forward_logits, forward_with_latents, loss_grads, site_steps
 
 METHODS = ("standard", "fgsm_at", "fgsm_rs", "pgd_at", "slat",
            "slat_fast_ga", "fgsm_rs_latent")
+
+
+# slat_fast_ga's penalty gradient is a central difference in the input, which
+# needs a loss smooth in it: no ReLU kink or max-pool switch may fall inside
+# the step. These are the layers it is checked on; config.parse_config reads
+# this list too.
+FAST_GA_LAYERS = ("dense", "softplus")
+FAST_GA_STEP = 1e-4
 
 
 class NonFiniteGradient(Exception):
@@ -189,59 +198,73 @@ def slat_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
     return _update(model, x_in, y, spec, state, lr, deltas)
 
 
-def fast_ga_loss(model, x, y, spec, clamp=None):
-    """Perturbed loss plus lambda * (1 - cos(g_clean, g_adv)).
+def fast_ga_problem(model):
+    """Why slat_fast_ga cannot train `model`, or None."""
+    kinds = sorted({layer.kind for layer in model.layers} - set(FAST_GA_LAYERS))
+    if kinds:
+        return (f"slat_fast_ga needs layers of kinds {', '.join(FAST_GA_LAYERS)}, "
+                f"got {', '.join(kinds)}")
+    return None
 
-    g_clean is the input gradient from the delta-generation pass, treated as
-    a constant; g_adv is the input gradient of the injected pass, built as
-    tape nodes so the penalty differentiates through it. Returns the total
-    loss node and its tape.
+
+def fast_ga_grads(model, x, y, spec, clamp=None):
+    """The perturbed loss plus lambda * (1 - mean cos(g_clean, g_adv)):
+    (its value, {param name: its gradient}). 3 forwards + 3 backwards.
+
+    g_clean is the input gradient of the delta-generation sweep, a constant;
+    g_adv is the input gradient of the injected mean loss. With
+    w = d total / d g_adv, the penalty's parameter gradient is the mixed
+    second derivative d/dtheta (w . g_adv). Per row it is the central
+    difference |w_i| [grad l_i(x_i + h u_i) - grad l_i(x_i - h u_i)] / 2hB
+    along u_i = w_i / |w_i|, and one sweep over the stacked batch
+    [x + hu; x - hu] takes it. A row with a zero gradient norm takes
+    metrics._row_cosines' convention as a constant, so its w is 0.
     """
-    for layer in model.layers:
-        if layer.kind not in _GRAPH_VJPS:
-            raise UnsupportedOps(
-                f"gradient-alignment training needs layers with a "
-                f"double-backward rule, got layer kind {layer.kind!r}")
-    x_in, latent_only, g_clean = _slat_inputs(model, x, y, spec, clamp)
+    problem = fast_ga_problem(model)
+    if problem:
+        raise UnsupportedOps(problem)
+    x_in, deltas, g_clean = _slat_inputs(model, x, y, spec, clamp)
+    adv_loss, tape = loss_grads(model, x_in, y, deltas, reduction="mean")
+    grads = {name: tape.grads[node.idx] for name, node in tape.params.items()}
+    g_adv = tape.grads[tape.input.idx]
+    cos = metrics_mod._row_cosines(g_clean, g_adv)
+    total = float(adv_loss.value) + spec.lambda_ga * (1.0 - cos.mean())
 
-    logits, _, tape = forward_with_latents(model, x_in, latent_only)
-    adv_loss = tape.record("loss_softmax_xent", [logits], labels=np.asarray(y),
-                           reduction="mean")
-    adjoints = backward(tape, adv_loss, as_graph=True)
-    g_adv = adjoints[tape.input.idx]
+    # w_i = -(lambda/B) r_i / |g_adv_i| with r_i = a_i/|a_i| - cos_i b_i/|b_i|
+    # over unit vectors, so |w_i| stays finite where |a_i||b_i| underflows
+    bsz, h = len(x_in), FAST_GA_STEP
+    na = np.linalg.norm(g_clean, axis=1)
+    nb = np.linalg.norm(g_adv, axis=1)
+    ok = (na > 0) & (nb > 0)
+    r = np.zeros_like(g_adv)
+    r[ok] = (g_clean[ok] / na[ok, None]
+             - cos[ok, None] * (g_adv[ok] / nb[ok, None]))
+    nr = np.linalg.norm(r, axis=1)
+    live = nr > 0
+    u = np.zeros_like(r)
+    u[live] = -r[live] / nr[live, None]
+    weight = np.zeros(bsz)
+    weight[live] = spec.lambda_ga * nr[live] / nb[live] / (2.0 * h * bsz * bsz)
 
-    # A row with a zero gradient norm takes metrics._row_cosines' convention
-    # as a constant with no gradient: cosine 1 if both norms are 0, 0 if one
-    # is. Its g_adv is masked to 0 and its norms offset to 1; every other row
-    # is multiplied by 1 and offset by 0, which leaves its floats unchanged.
-    gc_norm = np.linalg.norm(g_clean.reshape(len(x), -1), axis=1)
-    zero_c = gc_norm == 0
-    zero_a = (g_adv.value * g_adv.value).sum(axis=1) == 0
-    degenerate = (zero_c | zero_a).astype(np.float64)
-    g_adv = tape.record("mul", [g_adv, tape.leaf(np.ones_like(g_adv.value)
-                                                 * (1.0 - degenerate)[:, None])])
-    num = tape.record("rows_dot", [tape.leaf(g_clean), g_adv])
-    ga_sq = tape.record("rows_dot", [g_adv, g_adv])
-    ga_norm = tape.record("sqrt", [tape.record("add", [ga_sq, tape.leaf(degenerate)])])
-    den = tape.record("mul", [tape.leaf(gc_norm + degenerate), ga_norm])
-    cos = tape.record("add", [tape.record("div", [num, den]),
-                              tape.leaf((zero_c & zero_a).astype(np.float64))])
-    omega = tape.record("mean_all", [cos])
-    penalty = tape.record("scale",
-                          [tape.record("sub", [tape.leaf(1.0), omega])],
-                          c=spec.lambda_ga)
-    total = tape.record("add", [adv_loss, penalty])
-    return total, tape
+    logits, _, tape = forward_with_latents(
+        model, np.concatenate([x_in + h * u, x_in - h * u]),
+        {k: np.concatenate([d, d]) for k, d in deltas.items()})
+    # d/dlogits of sum_j c_j l_j, with c = (+weight, -weight)
+    seed = (np.concatenate([weight, -weight])[:, None]
+            * _minus_onehot(softmax(logits.value), np.concatenate([y, y])))
+    weighted = tape.record("sum_all", [tape.record("mul", [logits, tape.leaf(seed)])])
+    backward(tape, weighted, skip=(tape.stem,))
+    for name, node in tape.params.items():
+        grads[name] = grads[name] + tape.grads[node.idx]
+    return total, grads
 
 
 def slat_fast_ga_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
-    """SGD on fast_ga_loss: its loss is graph-built, so it sweeps it itself."""
-    total, tape = fast_ga_loss(model, x, y, spec, clamp)
-    backward(tape, total)
-    grads = {name: tape.grads[node.idx] for name, node in tape.params.items()}
+    """SGD on fast_ga_grads: 3 forwards + 3 backwards."""
+    total, grads = fast_ga_grads(model, x, y, spec, clamp)
     sgd_update(model.parameters(), grads, state, lr, spec.momentum,
                spec.weight_decay)
-    return float(total.value)
+    return total
 
 
 def fgsm_rs_latent_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):

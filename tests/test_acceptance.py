@@ -1,6 +1,7 @@
-"""Acceptance gate: one test per criterion A1-A11, each printing a PASS/FAIL
-line (visible under `pytest -s`). The image-scale criteria (A6, A10) share
-one pair of training runs through a session fixture.
+"""Acceptance gate: one test per criterion A1-A11, plus a check of the
+paper's l1 mechanism on A5's runs, each printing a PASS/FAIL line (visible
+under `pytest -s`). The image-scale criteria (A6, A10) share one pair of
+training runs through a session fixture.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from slatlab.data import (ToySpec, gen_toy, load_idx, write_idx_images,
 from slatlab.metrics import (accumulated_linearization_error,
                              boundary_nonrobust_ratio,
                              detect_catastrophic_overfitting,
-                             loss_landscape, robust_accuracy,
+                             linearity_probes, loss_landscape, robust_accuracy,
                              slice_linear_residual)
 from slatlab.models import (build_linear, build_small_cnn, build_toy_mlp,
                             forward_logits, forward_with_latents,
@@ -166,6 +167,24 @@ def test_a5_toy_boundary_and_robustness(a5_runs):
         assert gap >= 0.05, (
             f"SLAT beats FGSM AT by {gap * 100:.1f} points, below the "
             f"5-point bar")
+
+
+def test_a5_slat_shrinks_the_hidden_gradient_l1(a5_runs):
+    # The abstract's mechanism: SLAT implicitly regularizes the l1 norm of the
+    # latent gradients. Site 1 is the hidden layer.
+    with criterion("A5 mechanism: SLAT's site-1 l1 gradient norm below FGSM AT's"):
+        l1 = {}
+        for method in ("fgsm_at", "slat"):
+            for s in range(4):
+                test = gen_toy(ToySpec(A5_MU, A5_SIGMA, 500, seed=s + 10_000))
+                probes = linearity_probes(a5_runs[(method, s)], test.xs, test.ys,
+                                          epsilon=0.1)
+                l1[(method, s)] = probes["l1_grad_norms"][1]
+        below = sum(l1[("slat", s)] < l1[("fgsm_at", s)] for s in range(4))
+        print("  [A5] site-1 mean l1 gradient norm slat/fgsm: "
+              + "; ".join(f"s{s}: {l1[('slat', s)]:.3f}/{l1[('fgsm_at', s)]:.2f}"
+                          for s in range(4)))
+        assert below >= 3, f"SLAT below FGSM AT on {below}/4 seeds"
 
 
 # --- A6 / A10 ---------------------------------------------------------

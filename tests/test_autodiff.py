@@ -3,8 +3,8 @@ import pytest
 
 from slatlab import autodiff
 from slatlab.autodiff import (LabelOutOfRange, NonScalarLoss, ShapeMismatch,
-                              Tape, UnsupportedOps, backward, grad_check,
-                              pass_counts, per_example_xent, reset_pass_counts)
+                              Tape, backward, grad_check, pass_counts,
+                              per_example_xent, reset_pass_counts)
 from slatlab.models import build_small_cnn, forward_with_latents, loss_grads
 
 
@@ -213,14 +213,6 @@ def test_maxpool_passes_nan_through():
     x[0, 0, 1, 2] = np.nan
     out = Tape().record("maxpool2x2", [x]).value
     assert out[0, 0, 0, 0] == 0.0 and np.isnan(out[0, 0, 0, 1])
-
-
-def test_graph_backward_rejects_relu():
-    t = Tape()
-    x = t.leaf(_relu_safe(np.random.default_rng(0), (2, 2)))
-    loss = t.record("sum_all", [t.record("relu", [x])])
-    with pytest.raises(UnsupportedOps):
-        backward(t, loss, as_graph=True)
 
 
 def test_per_example_xent_matches_op():

@@ -365,6 +365,33 @@ def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,kinds", [
+    (["--model.activation=relu"], "relu"),
+    (["--model.zoo=small_cnn", "--model.in_shape=1x8x8",
+      "--model.activation=softplus"], "conv2d, flatten, maxpool2x2")])
+def test_cli_rejects_fast_ga_on_a_non_smooth_model_in_one_line(
+        tmp_path, capsys, overrides, kinds):
+    out = tmp_path / "out"
+    code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--train.method=slat_fast_ga", *overrides])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
+    assert "train.method" in err[0] and err[0].endswith(f"got {kinds}")
+    assert not out.exists()
+
+
+def test_fast_ga_sweep_keeps_the_smooth_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLATLAB_THREADS", "1")
+    code = main(["sweep", "--config", write_cfg(tmp_path), "--out", "sweep_out",
+                 "--train.method=slat_fast_ga", "--train.epochs=1",
+                 "--param", "model.activation", "--values", "softplus,relu"])
+    assert code == 1
+    lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("softplus,0,")
+    assert lines[2].startswith("relu,1,")
+
+
 def _garbage_checkpoint(tmp_path):
     path = tmp_path / "garbage.ckpt"
     path.write_bytes(b"garbage!")

@@ -3,8 +3,8 @@ import pytest
 
 from slatlab import training as training_mod
 from slatlab.attacks import fgsm, input_grad, pgd, r_fgsm
-from slatlab.autodiff import (UnsupportedOps, backward, pass_counts,
-                              per_example_xent, reset_pass_counts)
+from slatlab.autodiff import (UnsupportedOps, pass_counts, per_example_xent,
+                              reset_pass_counts)
 from slatlab.data import ToySpec, gen_toy
 from slatlab.metrics import (MetricRecord, _row_cosines, accuracy,
                              read_metrics_csv, write_metrics_csv)
@@ -12,7 +12,7 @@ from slatlab.models import (build_linear, build_small_cnn, build_toy_mlp,
                             forward_logits, loss_grads)
 from slatlab.training import (METHODS, EvalSettings, NonFiniteGradient,
                               TrainSpec, cyclic_lr, evaluate_checkpoint,
-                              fast_ga_loss, fgsm_at_step, init_optimizer,
+                              fast_ga_grads, fgsm_at_step, init_optimizer,
                               sgd_update, slat_fast_ga_step, slat_step,
                               standard_step, train)
 
@@ -114,9 +114,9 @@ def test_slat_with_zero_eta_is_standard_training():
 
 # (forwards, backwards) per step. PGD-AT: 7 attack sweeps, one forward to
 # pick the worst restart, one update sweep. slat_fast_ga: the clean sweep,
-# then one forward swept twice (graph mode, then numeric).
+# the injected sweep, and one sweep over the stacked central-difference batch.
 STEP_PASSES = {"standard": (1, 1), "fgsm_at": (2, 2), "fgsm_rs": (2, 2),
-               "pgd_at": (9, 8), "slat": (2, 2), "slat_fast_ga": (2, 3),
+               "pgd_at": (9, 8), "slat": (2, 2), "slat_fast_ga": (3, 3),
                "fgsm_rs_latent": (3, 3)}
 
 
@@ -215,10 +215,10 @@ def test_fast_ga_linear_model_has_no_penalty():
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, 2, size=8)
     spec = TrainSpec(method="slat_fast_ga", epsilon=0.05, lambda_ga=10.0)
-    total, tape = fast_ga_loss(m, x, y, spec)
+    total, _ = fast_ga_grads(m, x, y, spec)
     x_adv = x + 0.05 * np.sign(
         __import__("slatlab.attacks", fromlist=["input_grad"]).input_grad(m, x, y))
-    assert float(total.value) == pytest.approx(
+    assert total == pytest.approx(
         per_example_xent(forward_logits(m, x_adv), y).mean(), abs=1e-9)
 
 
@@ -226,12 +226,12 @@ def test_fast_ga_lambda_zero_matches_slat_loss():
     x, y = toy_batch(seed=6)
     m = build_toy_mlp(8, "softplus", seed=10)
     spec = TrainSpec(method="slat_fast_ga", epsilon=0.1, lambda_ga=0.0)
-    total, _ = fast_ga_loss(m, x, y, spec)
+    total, _ = fast_ga_grads(m, x, y, spec)
     m2 = m.copy()
     spec2 = TrainSpec(method="slat", epsilon=0.1)
     s2 = init_optimizer(m2)
     loss = slat_step(m2, x, y, spec2, s2, lr=0.0)
-    assert float(total.value) == pytest.approx(loss, abs=1e-12)
+    assert total == pytest.approx(loss, abs=1e-12)
 
 
 ZERO_CLEAN_ROWS = {20.0: 0, 25.0: 0, 30.0: 0, 50.0: 1, 60.0: 3}
@@ -241,9 +241,9 @@ ZERO_CLEAN_ROWS = {20.0: 0, 25.0: 0, 30.0: 0, 50.0: 1, 60.0: 3}
 def test_fast_ga_gradients_finite_for_tiny_gradient_norms(scale):
     # Saturated output weights shrink the input-gradient norms of confident
     # examples (to ~1e-90 at 25); the cosine's denominator, the product of two
-    # such norms, underflows to 0 when squared, so the div VJP must not square
-    # it. From 50 some clean gradient norms are 0 themselves: those rows take
-    # metrics._row_cosines' zero-norm convention as constants.
+    # such norms, underflows to 0 when squared, so the penalty's gradient must
+    # not square it. From 50 some clean gradient norms are 0 themselves: those
+    # rows take metrics._row_cosines' zero-norm convention as constants.
     ds = gen_toy(ToySpec(n_per_class=8, seed=0))
     m = build_toy_mlp(8, "softplus", seed=0)
     w, s = m.layers[2].arrays["w"], np.sign(m.layers[0].arrays["w"][0])
@@ -253,12 +253,11 @@ def test_fast_ga_gradients_finite_for_tiny_gradient_norms(scale):
     assert (np.linalg.norm(g_clean, axis=1) == 0).sum() == ZERO_CLEAN_ROWS[scale]
     adv_loss, adv = loss_grads(m, x_in, ds.ys, deltas, reduction="mean")
     cosines = _row_cosines(g_clean, adv.grads[adv.input.idx])
-    total, tape = fast_ga_loss(m, ds.xs, ds.ys, spec)
-    assert float(total.value) == pytest.approx(
+    total, grads = fast_ga_grads(m, ds.xs, ds.ys, spec)
+    assert total == pytest.approx(
         float(adv_loss.value) + spec.lambda_ga * (1 - cosines.mean()), rel=1e-12)
-    backward(tape, total)
-    for node in tape.params.values():
-        assert np.all(np.isfinite(tape.grads[node.idx]))
+    for g in grads.values():
+        assert np.all(np.isfinite(g))
 
 
 def test_fast_ga_rejects_relu_models():
@@ -266,7 +265,48 @@ def test_fast_ga_rejects_relu_models():
     x, y = toy_batch(seed=7)
     spec = TrainSpec(method="slat_fast_ga", epsilon=0.1)
     with pytest.raises(UnsupportedOps):
-        fast_ga_loss(m, x, y, spec)
+        fast_ga_grads(m, x, y, spec)
+    # softplus, but its max-pools switch inside the central difference's step
+    cnn = build_small_cnn((1, 8, 8), 3, "softplus", seed=11)
+    xs = np.random.default_rng(7).uniform(0.0, 1.0, size=(4, 1, 8, 8))
+    with pytest.raises(UnsupportedOps, match="maxpool2x2"):
+        fast_ga_grads(cnn, xs, np.array([0, 1, 2, 0]), spec)
+
+
+def _fast_ga_total(model, x_in, deltas, y, g_clean, lambda_ga):
+    """The penalized loss at fixed x_in, deltas and g_clean, from one sweep."""
+    adv_loss, tape = loss_grads(model, x_in, y, deltas, reduction="mean")
+    cosines = _row_cosines(g_clean, tape.grads[tape.input.idx])
+    return float(adv_loss.value) + lambda_ga * (1 - cosines.mean())
+
+
+@pytest.mark.parametrize("build", [lambda: build_linear(3, 2, seed=9),
+                                   lambda: build_toy_mlp(8, "softplus", seed=10)],
+                         ids=["linear", "toy_mlp_softplus"])
+def test_fast_ga_gradient_matches_central_differences_of_the_loss(build):
+    # The reference holds x_in, the latent deltas and g_clean at their values
+    # for the current parameters, as fast_ga_grads treats them as constants.
+    m = build()
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(16, m.input_shape[0]))
+    y = rng.integers(0, 2, size=16)
+    spec = TrainSpec(method="slat_fast_ga", epsilon=0.1,
+                     eta=dict.fromkeys(m.K, 0.1), lambda_ga=2.0)
+    x_in, deltas, g_clean = training_mod._slat_inputs(m, x, y, spec, None)
+    _, grads = fast_ga_grads(m, x, y, spec)
+    h = 1e-5
+    for _ in range(3):
+        v = {n: rng.normal(size=p.shape) for n, p in m.parameters().items()}
+        totals = []
+        for sgn in (1.0, -1.0):
+            mp = m.copy()
+            for name, p in mp.parameters().items():
+                p += sgn * h * v[name]
+            totals.append(_fast_ga_total(mp, x_in, deltas, y, g_clean,
+                                         spec.lambda_ga))
+        fd = (totals[0] - totals[1]) / (2 * h)
+        analytic = sum((grads[n] * v[n]).sum() for n in v)
+        assert analytic == pytest.approx(fd, rel=1e-6)
 
 
 def test_fast_ga_step_trains():
