@@ -1,10 +1,10 @@
 """Experiment driver. Verbs: train, eval, sweep, landscape, toy-demo.
 
 Every run writes metrics.csv, final.ckpt, landscape_<method>.csv and
-summary.json into its output directory; exit codes are 0 (success),
-1 (config error, corrupt, empty or unreadable input file, data the model cannot
-take, or a toy run whose decision boundary is degenerate), 2 (aborted on a
-non-finite gradient).
+summary.json into its output directory; exit codes are 0 (success, or --help),
+1 (usage or config error, corrupt, empty or unreadable input file, data the
+model cannot take, or a toy run whose decision boundary is degenerate),
+2 (aborted on a non-finite gradient).
 """
 
 from __future__ import annotations
@@ -38,7 +38,17 @@ class DataMismatch(Exception):
 # A corrupt, empty or unreadable input file, or data that does not fit the
 # model: exit code 1, never a traceback.
 INPUT_ERRORS = (models_mod.CheckpointError, BadMagic, TruncatedFile,
-                CountMismatch, EmptyDataset, DataMismatch, OSError)
+                CountMismatch, EmptyDataset, DataMismatch,
+                metrics_mod.BadMetricsCsv, OSError)
+
+
+class UsageError(Exception):
+    """A command line that argparse rejects: exit code 1, never its usage text."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def run(cfg, ckpt=None, eval_only=False):
@@ -152,13 +162,19 @@ def sweep(config_path, overrides, param, values, out_root):
         workers = max(1, int(env) if env else min(len(values), os.cpu_count() or 1))
     except ValueError:
         raise ValidationError([f"SLATLAB_THREADS: not an integer: {env!r}"]) from None
+    dirs = [os.path.join(out_root, f"{param}_{re.sub(r'[^A-Za-z0-9_.-]', '_', v)}")
+            for v in values]
+    for i, d in enumerate(dirs):
+        if d in dirs[:i]:
+            raise ValidationError([f"sweep over {param}: values "
+                                   f"{values[dirs.index(d)]!r} and {values[i]!r} "
+                                   f"both write {d}"])
     os.makedirs(out_root, exist_ok=True)
 
-    def one(value):
+    def one(value, out_dir):
         ov = dict(overrides)
         ov[param] = value
-        tag = re.sub(r"[^A-Za-z0-9_.-]", "_", value)
-        ov["output.dir"] = os.path.join(out_root, f"{param}_{tag}")
+        ov["output.dir"] = out_dir
         try:
             cfg = parse_config(config_path, ov)
             code = run(cfg)
@@ -169,7 +185,7 @@ def sweep(config_path, overrides, param, values, out_root):
             return value, 1, {"error": str(exc)}
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, values))
+        results = list(pool.map(one, values, dirs))
 
     with open(os.path.join(out_root, "sweep.csv"), "w") as fh:
         fh.write(f"{param},exit_code,clean_acc,robust_acc,co_step\n")
@@ -220,8 +236,7 @@ def _split_overrides(argv):
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(prog="slatlab",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="slatlab", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="verb", required=True)
 
     def common(sp):
@@ -232,8 +247,6 @@ def _build_parser():
     sp = sub.add_parser("train", help="train a model and write artifacts")
     common(sp)
     sp.add_argument("--ckpt", default=None, help="warm-start checkpoint")
-    sp.add_argument("--eval-only", action="store_true",
-                    help="skip training; summarize the checkpoint")
     sp = sub.add_parser("eval", help="summarize a saved checkpoint")
     common(sp)
     sp.add_argument("--ckpt", required=True)
@@ -253,13 +266,12 @@ def _build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     rest, overrides = _split_overrides(argv)
-    args = _build_parser().parse_args(rest)
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["output.dir"] = args.out
-
     try:
+        args = _build_parser().parse_args(rest)
+        if args.seed is not None:
+            overrides["run.seed"] = str(args.seed)
+        if args.out is not None:
+            overrides["output.dir"] = args.out
         if args.verb == "sweep":
             return sweep(args.config, overrides, args.param,
                          args.values.split(","),
@@ -269,7 +281,7 @@ def main(argv=None):
 
         cfg = parse_config(args.config, overrides)
         if args.verb == "train":
-            return run(cfg, ckpt=args.ckpt, eval_only=args.eval_only)
+            return run(cfg, ckpt=args.ckpt)
         if args.verb == "eval":
             return run(cfg, ckpt=args.ckpt, eval_only=True)
         if args.verb == "landscape":
@@ -278,6 +290,9 @@ def main(argv=None):
             subset = training.eval_subset(test_ds, cfg.eval.n_eval, cfg.seed)
             print(_save_landscape(cfg, model, subset))
             return 0
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

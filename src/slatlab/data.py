@@ -150,56 +150,3 @@ def augment_pad_crop(x, pad, rng):
 def rademacher(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-
-
-_FONT_CANDIDATES = (
-    "/usr/share/fonts/truetype/dejavu/DejaVuSans.ttf",
-    "/usr/share/fonts/truetype/dejavu/DejaVuSans-Bold.ttf",
-    "/usr/share/fonts/truetype/dejavu/DejaVuSerif.ttf",
-    "/usr/share/fonts/truetype/dejavu/DejaVuSansMono.ttf",
-)
-
-
-def render_digit_corpus(n, seed, size=28):
-    """Deterministic font-rendered digit images, an offline MNIST stand-in.
-
-    Glyphs 0-9 are drawn with varying fonts, sizes, offsets, and rotations,
-    then lightly noised. Returns (images uint8 [n,size,size], labels uint8).
-    Requires Pillow; image runs against real IDX files never need it.
-    """
-    try:
-        from PIL import Image, ImageDraw, ImageFilter, ImageFont
-    except ImportError as exc:  # pragma: no cover
-        raise ImportError("render_digit_corpus needs Pillow") from exc
-
-    import os
-    fonts = [p for p in _FONT_CANDIDATES if os.path.exists(p)]
-    if not fonts:
-        raise FileNotFoundError("no usable TTF font found for digit rendering")
-    rng = np.random.default_rng(seed)
-    images = np.zeros((n, size, size), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=n).astype(np.uint8)
-    for i in range(n):
-        digit = str(labels[i])
-        font_path = fonts[rng.integers(0, len(fonts))]
-        font = ImageFont.truetype(font_path, int(rng.integers(22, 29)))
-        stroke = int(rng.integers(1, 3))
-        img = Image.new("L", (size * 2, size * 2), 0)
-        draw = ImageDraw.Draw(img)
-        x0, y0, x1, y1 = draw.textbbox((0, 0), digit, font=font,
-                                       stroke_width=stroke)
-        cx = size - (x1 - x0) / 2 - x0 + rng.integers(-2, 3)
-        cy = size - (y1 - y0) / 2 - y0 + rng.integers(-2, 3)
-        draw.text((cx, cy), digit, fill=255, font=font, stroke_width=stroke,
-                  stroke_fill=255)
-        img = img.rotate(float(rng.uniform(-8, 8)), resample=Image.BILINEAR,
-                         center=(size, size))
-        img = img.filter(ImageFilter.GaussianBlur(radius=0.3))
-        img = img.crop((size // 2, size // 2, size // 2 + size, size // 2 + size))
-        # push stroke cores back to full brightness: high contrast keeps the
-        # task solvable under large l-inf budgets, like thick handwriting
-        arr = np.asarray(img, dtype=np.float64)
-        arr = 255.0 * np.clip(arr / 140.0, 0.0, 1.0)
-        arr += rng.normal(0.0, 2.0, size=arr.shape)
-        images[i] = np.clip(arr, 0, 255).astype(np.uint8)
-    return images, labels

@@ -299,24 +299,31 @@ def write_metrics_csv(records, path):
     w.close()
 
 
+class BadMetricsCsv(Exception):
+    """A metrics.csv whose header lacks a column, or whose row has another
+    cell count than the header or a cell that is not a number."""
+
+
 def read_metrics_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        site_ids = [int(c[len("l1_grad_k"):]) for c in header
-                    if c.startswith("l1_grad_k")]
-        out = []
-        for line in fh:
-            parts = line.strip().split(",")
-            vals = dict(zip(header, parts))
-            out.append(MetricRecord(
-                step=int(vals["step"]),
-                epoch=float(vals["epoch"]),
-                clean_acc=float(vals["clean_acc"]),
-                pgd_acc=float(vals["pgd_acc"]),
-                adv_loss=float(vals["adv_loss"]),
-                grad_align=float(vals["grad_align"]),
-                l1_grad_norms={k: float(vals[f"l1_grad_k{k}"]) for k in site_ids},
-                logits_l2=float(vals["logits_l2"]),
-                lr=float(vals["lr"]),
-            ))
+    lineno = 1
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            site_ids = [int(c[len("l1_grad_k"):]) for c in header
+                        if c.startswith("l1_grad_k")]
+            out = []
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if len(parts) != len(header):
+                    raise BadMetricsCsv(f"{path}, line {lineno}: {len(parts)} "
+                                        f"cells, the header has {len(header)}")
+                vals = dict(zip(header, parts))
+                out.append(MetricRecord(
+                    step=int(vals["step"]),
+                    l1_grad_norms={k: float(vals[f"l1_grad_k{k}"]) for k in site_ids},
+                    **{c: float(vals[c]) for c in CSV_FIXED_LEAD[1:] + CSV_FIXED_TAIL}))
+    except KeyError as exc:
+        raise BadMetricsCsv(f"{path}: no {exc} column") from None
+    except ValueError as exc:
+        raise BadMetricsCsv(f"{path}, line {lineno}: {exc}") from None
     return out

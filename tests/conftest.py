@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -31,17 +32,31 @@ def pytest_configure(config):
 
 
 @pytest.fixture(scope="session")
-def digit_corpus(tmp_path_factory):
+def make_digits():
+    """`make_digits(n, seed)` from bench/corpus.py, the repository's one
+    synthetic digit corpus: seeded, numpy only. It is loaded by file path
+    under a name of its own, because bench/test_bench.py imports its modules
+    as top-level `corpus` and `workloads`."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "corpus.py")
+    spec = importlib.util.spec_from_file_location("slatlab_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_digits
+
+
+@pytest.fixture(scope="session")
+def digit_corpus(tmp_path_factory, make_digits):
     """IDX paths for the image experiments: real MNIST when SLATLAB_MNIST_DIR
-    points at the ubyte files, otherwise a digit corpus rendered once per
-    session into a pytest temporary directory."""
+    points at the ubyte files, otherwise the synthetic digit corpus rendered
+    once per session into a pytest temporary directory."""
     mnist_dir = os.environ.get("SLATLAB_MNIST_DIR")
     if mnist_dir:
         paths = {k: os.path.join(mnist_dir, v) for k, v in MNIST_NAMES.items()}
         if all(os.path.exists(p) for p in paths.values()):
             return {"source": "mnist", **paths}
-    tr_x, tr_y = data_mod.render_digit_corpus(10_000, seed=100)
-    te_x, te_y = data_mod.render_digit_corpus(2_000, seed=200)
+    tr_x, tr_y = make_digits(10_000, seed=100)
+    te_x, te_y = make_digits(2_000, seed=200)
     out = tmp_path_factory.mktemp("digits")
     paths = {k: str(out / f"{k}.idx") for k in MNIST_NAMES}
     data_mod.write_idx_images(tr_x, paths["train_images"])

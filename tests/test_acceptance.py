@@ -220,6 +220,7 @@ def _final_pgd_acc(entry, test_ds):
     return robust_accuracy(entry["model"], sub, attack)
 
 
+@pytest.mark.slow
 def test_a6_catastrophic_overfitting_contrast(a6_runs):
     with criterion("A6 FGSM-AT collapses on the image task while SLAT holds"):
         window = 2 * a6_runs["steps_per_epoch"]
@@ -246,6 +247,7 @@ def test_a6_catastrophic_overfitting_contrast(a6_runs):
         assert align["slat"] > 0.7
 
 
+@pytest.mark.slow
 def test_a10_landscape_linearity_ordering(a6_runs):
     with criterion("A10 landscape origin exact + linear-slice residual ordering"):
         test_ds = a6_runs["test"]

@@ -348,6 +348,51 @@ def test_cli_train_and_exit_codes(tmp_path, capsys):
                  "--ckpt", os.path.join(out, "final.ckpt")]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--bogus-flag"], ["eval"], ["train", "--eval-only"],
+    ["sweep", "--param", "train.epsilon"], ["train", "--seed", "x"], []])
+def test_cli_usage_error_is_one_line(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: slatlab")
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--ckpt" in capsys.readouterr().out
+
+
+def _with_cell(lines, row, col, text):
+    cells = lines[row].split(",")
+    cells[col] = text
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:2] + ["3,0.5,0.9"] + lines[2:],
+     "line 3: 3 cells, the header has 10"),
+    (lambda lines: [ln.replace(",pgd_acc,", ",pgd,") for ln in lines],
+     "no 'pgd_acc' column"),
+    (lambda lines: _with_cell(lines, 2, 2, "abc"),
+     "line 3: could not convert string to float: 'abc'")],
+    ids=["partial row", "missing column", "non-numeric cell"])
+def test_eval_reports_a_bad_metrics_csv_in_one_line(tmp_path, capsys, edit, message):
+    path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 0
+    csv = out / "metrics.csv"
+    lines = edit(csv.read_text().splitlines())
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--config", path, "--out", str(out),
+                 "--ckpt", str(out / "final.ckpt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("input error:")
+    assert str(csv) in err[0] and err[0].endswith(message)
+
+
 @pytest.mark.parametrize("override", [
     "--data.augment_pad=1", "--data.mu=1,2,3", "--data.mu=1", "--data.mu=nan,0",
     "--data.sigma=1,2,3", "--data.sigma=1", "--train.momentum=nan",
@@ -557,6 +602,20 @@ def test_sweep_empty_values_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
     assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("values,first,second", [
+    ("0.05,0.1,0.05", "0.05", "0.05"), ("1/20,1_20", "1/20", "1_20")],
+    ids=["repeated value", "sanitised collision"])
+def test_sweep_rejects_values_that_share_a_directory(tmp_path, capsys, values,
+                                                     first, second):
+    out = tmp_path / "sweep_out"
+    code = main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--param", "train.epsilon", "--values", values])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
+    assert f"values {first!r} and {second!r} both write" in err[0]
+    assert not out.exists()
 
 
 def test_sweep_continues_past_failures(tmp_path, monkeypatch):

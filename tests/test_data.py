@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from slatlab.data import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, BadMagic,
                           CountMismatch, LabeledDataset, ToySpec,
                           TruncatedFile, _read_idx, augment_pad_crop, gen_toy,
-                          load_idx, rademacher, render_digit_corpus,
-                          write_idx_images, write_idx_labels)
+                          load_idx, rademacher, write_idx_images,
+                          write_idx_labels)
 
 
 def test_gen_toy_deterministic():
@@ -180,10 +180,10 @@ def test_rademacher_properties():
     assert np.array_equal(r, rademacher((100, 1000), seed=5))
 
 
-def test_render_digit_corpus_small():
-    imgs, labels = render_digit_corpus(40, seed=0)
+def test_render_digit_corpus_small(make_digits):
+    imgs, labels = make_digits(40, seed=0)
     assert imgs.shape == (40, 28, 28) and imgs.dtype == np.uint8
     assert labels.shape == (40,) and labels.max() <= 9
-    imgs2, labels2 = render_digit_corpus(40, seed=0)
+    imgs2, labels2 = make_digits(40, seed=0)
     assert np.array_equal(imgs, imgs2) and np.array_equal(labels, labels2)
     assert imgs.max() > 200   # glyphs actually drawn
