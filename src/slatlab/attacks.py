@@ -15,6 +15,8 @@ import numpy as np
 from .autodiff import UnknownSite, backward, per_example_xent  # noqa: F401
 from .models import forward_logits, loss_grads
 
+ATTACK_ROWS = 256      # a multiple of 16, as models.FORWARD_ROWS is
+
 
 @dataclass
 class AttackSpec:
@@ -55,16 +57,19 @@ def fgsm(model, x, y, epsilon, clamp=None):
     return _clamp(x + epsilon * np.sign(g), clamp)
 
 
+def _r_fgsm_point(x, delta, g, epsilon, alpha=None, clamp=None):
+    """R+FGSM's adversary from its start x + delta and the input gradient g
+    there: a sign step of alpha (default 1.25 * epsilon), clipped to the ball."""
+    alpha = 1.25 * epsilon if alpha is None else alpha
+    return _clamp(x + np.clip(delta + alpha * np.sign(g), -epsilon, epsilon), clamp)
+
+
 def r_fgsm(model, x, y, epsilon, alpha=None, clamp=None, seed=0):
     """FGSM from a uniform random start, step alpha, clipped back to the ball."""
     x = np.asarray(x, dtype=np.float64)
-    if alpha is None:
-        alpha = 1.25 * epsilon
-    rng = np.random.default_rng(seed)
-    delta = epsilon * rng.uniform(-1.0, 1.0, size=x.shape)
-    g = input_grad(model, x + delta, y)
-    delta = np.clip(delta + alpha * np.sign(g), -epsilon, epsilon)
-    return _clamp(x + delta, clamp)
+    delta = epsilon * np.random.default_rng(seed).uniform(-1.0, 1.0, size=x.shape)
+    return _r_fgsm_point(x, delta, input_grad(model, x + delta, y), epsilon,
+                         alpha, clamp)
 
 
 def pgd(model, x, y, epsilon, alpha=None, steps=7, restarts=1, clamp=None, seed=0):
@@ -94,12 +99,17 @@ def pgd(model, x, y, epsilon, alpha=None, steps=7, restarts=1, clamp=None, seed=
 
 
 def run_attack(model, x, y, spec: AttackSpec):
+    """The spec's adversaries, in fixed ATTACK_ROWS-row slices seeded by spec.seed."""
     if spec.kind == "fgsm":
-        return fgsm(model, x, y, spec.epsilon, spec.clamp)
-    if spec.kind == "r_fgsm":
-        return r_fgsm(model, x, y, spec.epsilon, spec.alpha, spec.clamp, spec.seed)
-    return pgd(model, x, y, spec.epsilon, spec.alpha, spec.steps,
-               spec.restarts, spec.clamp, spec.seed)
+        attack, args = fgsm, (spec.epsilon, spec.clamp)
+    elif spec.kind == "r_fgsm":
+        attack, args = r_fgsm, (spec.epsilon, spec.alpha, spec.clamp, spec.seed)
+    else:
+        attack, args = pgd, (spec.epsilon, spec.alpha, spec.steps, spec.restarts,
+                             spec.clamp, spec.seed)
+    rows = range(0, max(len(x), 1), ATTACK_ROWS)
+    return np.concatenate([attack(model, x[i:i + ATTACK_ROWS], y[i:i + ATTACK_ROWS],
+                                  *args) for i in rows])
 
 
 def deltas_from_tape(tape, eta):

@@ -216,8 +216,6 @@ def _fill_defaults(cfg, explicit):
         cfg.train.epsilon = 0.1 if toy else 8 / 255
     if cfg.model.eta is None:
         cfg.model.eta = cfg.train.epsilon
-    if toy and ("model", "zoo") not in explicit:
-        cfg.model.zoo = "toy_mlp"
     if not toy and ("model", "zoo") not in explicit:
         cfg.model.zoo = "small_cnn"
     if not toy and ("model", "in_shape") not in explicit:
@@ -253,6 +251,10 @@ def _validate(cfg):
     if cfg.model.zoo == "small_cnn" and (
             why := models_mod.small_cnn_shape_problem(cfg.model.in_shape)):
         problems.append(f"model.in_shape: {why}")
+    if cfg.model.zoo == "linear" and not (len(cfg.model.in_shape) == 1
+                                          and cfg.model.in_shape[0] >= 1):
+        problems.append(f"model.in_shape: linear needs one width >= 1, "
+                        f"got {cfg.model.in_shape}")
     if cfg.model.activation not in ("relu", "softplus"):
         problems.append(f"model.activation: {cfg.model.activation!r}")
     if cfg.data.kind not in ("toy", "idx"):

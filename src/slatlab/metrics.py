@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import _clamp, input_grad, latent_deltas, r_fgsm, run_attack
+from .attacks import _clamp, _r_fgsm_point, input_grad, latent_deltas, run_attack
 from .autodiff import backward, per_example_xent
 from .data import DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA, rademacher
 from .models import forward_logits, forward_with_latents, loss_grads, site_steps
@@ -48,21 +48,15 @@ def _n_correct(z, y):
     return int((zy > z.max(axis=1)).sum())
 
 
-def accuracy(model, xs, ys, batch=512):
+def accuracy(model, xs, ys):
     """Strict-argmax accuracy: a tie on the top logit counts as incorrect."""
-    correct = sum(_n_correct(forward_logits(model, xs[i:i + batch]), ys[i:i + batch])
-                  for i in range(0, len(xs), batch))
-    return correct / len(xs)
+    return _n_correct(forward_logits(model, xs), ys) / len(xs)
 
 
-def robust_accuracy(model, dataset, attack_spec, batch=256):
+def robust_accuracy(model, dataset, attack_spec):
     """Accuracy against the worst adversary over the attack's restarts."""
-    correct = 0
-    for i in range(0, len(dataset), batch):
-        xb, yb = dataset.xs[i:i + batch], dataset.ys[i:i + batch]
-        x_adv = run_attack(model, xb, yb, attack_spec)
-        correct += _n_correct(forward_logits(model, x_adv), yb)
-    return correct / len(dataset)
+    return accuracy(model, run_attack(model, dataset.xs, dataset.ys, attack_spec),
+                    dataset.ys)
 
 
 def _row_cosines(g1, g2):
@@ -90,7 +84,8 @@ def linearity_probes(model, x, y, epsilon, seed=0, clamp=None):
       adversaries.
 
     One clean sweep gives the first gradient, the FGSM point and every site
-    gradient.
+    gradient. The random neighbour is R+FGSM's start, so its sweep gives the
+    second gradient and the R+FGSM point.
     """
     x = np.asarray(x, dtype=np.float64)
     _, tape = loss_grads(model, x, y, wrt="inputs")
@@ -103,7 +98,7 @@ def linearity_probes(model, x, y, epsilon, seed=0, clamp=None):
     gamma = epsilon * np.random.default_rng(seed).uniform(-1.0, 1.0, size=x.shape)
     g_near = input_grad(model, x + gamma, y)
     za = forward_logits(model, _clamp(x + epsilon * np.sign(g), clamp))
-    zb = forward_logits(model, r_fgsm(model, x, y, epsilon, clamp=clamp, seed=seed))
+    zb = forward_logits(model, _r_fgsm_point(x, gamma, g_near, epsilon, clamp=clamp))
     return {"grad_align": float(_row_cosines(g, g_near).mean()),
             "l1_grad_norms": l1,
             "logits_l2": float(np.linalg.norm(za - zb, axis=1).mean())}
@@ -219,11 +214,7 @@ def boundary_nonrobust_ratio(model, xlim=None, ylim=None, n=401, cap=1e6):
     gx = np.linspace(xlim[0], xlim[1], n)
     gy = np.linspace(ylim[0], ylim[1], n)
     pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    margin = np.empty(len(pts))
-    for i in range(0, len(pts), 8192):
-        z = forward_logits(model, pts[i:i + 8192])
-        margin[i:i + 8192] = z[:, 1] - z[:, 0]
-    m = margin.reshape(n, n)   # [x index, y index]
+    m = np.diff(forward_logits(model, pts)).reshape(n, n)   # z1 - z0, [x idx, y idx]
     if not np.all(np.isfinite(m)):
         raise DegenerateBoundary("non-finite logit difference on probe grid")
 

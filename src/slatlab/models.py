@@ -20,6 +20,7 @@ CKPT_MAGIC = b"SLATCKPT"
 CKPT_VERSION = 1
 
 PARAMETRIC = ("dense", "conv2d")
+FORWARD_ROWS = 128     # a multiple of 16, so slices keep the GEMM row blocking
 
 # The one site table: zoo model -> {site id: position of the layer whose
 # input the site perturbs}. The builders and config read it.
@@ -155,15 +156,18 @@ def loss_grads(model, x, y, deltas=None, reduction="sum", wrt="all"):
 
 
 def forward_logits(model, x):
-    """Logit values of one clean forward pass, for callers that read values
-    only: each layer's forward rule runs on the current value and no tape is
-    built, so every intermediate is freed once the next layer has read it.
-    Counts as one forward pass."""
-    cur = _check_batch(model, x)
-    for layer in model.layers:
-        cur = _FORWARD[layer.kind]([cur, *layer.arrays.values()], {})[0]
+    """Logits of one clean forward pass, for callers that read values only:
+    FORWARD_ROWS-row slices run the layers' forward rules with no tape, so
+    each intermediate is freed once read. Counts as one forward pass."""
+    x = _check_batch(model, x)
+    out = []
+    for i in range(0, max(len(x), 1), FORWARD_ROWS):
+        cur = x[i:i + FORWARD_ROWS]
+        for layer in model.layers:
+            cur = _FORWARD[layer.kind]([cur, *layer.arrays.values()], {})[0]
+        out.append(cur)
     count_forward()
-    return cur
+    return np.concatenate(out)
 
 
 def truncated_forward(model, site_id, h):

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as metrics_mod
-from .attacks import _clamp, deltas_from_tape, fgsm, latent_deltas, pgd, r_fgsm
+from .attacks import (AttackSpec, _clamp, deltas_from_tape, fgsm, latent_deltas,
+                      pgd, r_fgsm, run_attack)
 from .autodiff import (UnsupportedOps, _minus_onehot, backward, per_example_xent,
                        softmax)
 from .data import augment_pad_crop
@@ -289,13 +290,12 @@ _STEP_FNS = {
 def evaluate_checkpoint(model, xs, ys, spec, ev, step, epoch, lr, clamp=None):
     """One MetricRecord: accuracy, attack robustness, and linearity probes.
 
-    With S PGD steps and R restarts it costs S*R + R + 7 forward passes and
-    S*R + 3 backward passes (n_eval <= 512, so clean accuracy is one batch).
+    With S PGD steps and R restarts it costs S*R + R + 6 forward passes and
+    S*R + 2 backward passes for n_eval <= 256 (one attacks.ATTACK_ROWS slice).
     """
     eps = ev.epsilon if ev.epsilon is not None else spec.epsilon
-    x_adv = pgd(model, xs, ys, eps, ev.alpha, ev.attack_steps, ev.attack_restarts,
-                clamp, seed=ev.seed)
-    z_adv = forward_logits(model, x_adv)
+    z_adv = forward_logits(model, run_attack(model, xs, ys, AttackSpec(
+        "pgd", eps, ev.alpha, ev.attack_steps, ev.attack_restarts, clamp, ev.seed)))
     return metrics_mod.MetricRecord(
         step=step,
         epoch=epoch,

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from slatlab.attacks import (AttackSpec, deltas_from_tape, fgsm, input_grad,
-                             latent_deltas, pgd, r_fgsm, run_attack)
+from slatlab.attacks import (ATTACK_ROWS, AttackSpec, deltas_from_tape, fgsm,
+                             input_grad, latent_deltas, pgd, r_fgsm, run_attack)
 from slatlab.autodiff import Tape, UnknownSite, backward, per_example_xent
+from slatlab.data import ToySpec, gen_toy
 from slatlab.models import build_linear, build_toy_mlp, forward_logits
 
 
@@ -91,6 +92,20 @@ def test_attack_steps_must_be_finite_and_non_negative(bad):
     backward(tape, tape.record("sum_all", [h]))
     with pytest.raises(ValueError, match="eta"):
         deltas_from_tape(tape, {0: bad})
+
+
+@pytest.mark.parametrize("spec", [
+    AttackSpec("fgsm", 0.2),
+    AttackSpec("r_fgsm", 0.2, seed=4),
+    AttackSpec("pgd", 0.2, steps=3, restarts=2, seed=4)], ids=lambda s: s.kind)
+def test_run_attack_attacks_fixed_row_slices(spec):
+    ds = gen_toy(ToySpec(n_per_class=300, seed=4))
+    m = build_toy_mlp(8, seed=4)
+    got = run_attack(m, ds.xs, ds.ys, spec)
+    want = np.concatenate([run_attack(m, ds.xs[i:i + 256], ds.ys[i:i + 256], spec)
+                           for i in (0, 256, 512)])
+    assert ATTACK_ROWS == 256 and got.shape == ds.xs.shape
+    assert np.array_equal(got, want)
 
 
 def test_ball_containment_and_clamp():

@@ -300,6 +300,18 @@ def test_run_writes_artifacts(tmp_path):
     assert records[0].step == 0
 
 
+def test_final_record_and_summary_agree_on_robust_accuracy(tmp_path):
+    # the default n_eval of 512 takes two attack slices in both places
+    cfg = "[run]\nseed = 5\n[data]\nkind = toy\n[train]\nmethod = slat\n"
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                 "--eval.epsilon=0.5", "--eval.steps=3",
+                 "--output.save_landscape=false"]) == 0
+    assert EvalSettings().n_eval == 512
+    summary = json.loads((out / "summary.json").read_text())
+    assert read_metrics_csv(out / "metrics.csv")[-1].pgd_acc == summary["robust_acc"]
+
+
 def test_run_deterministic_outputs(tmp_path):
     path = write_cfg(tmp_path)
     blobs, summaries = [], []
@@ -498,6 +510,17 @@ def test_cli_reports_a_model_that_does_not_fit_its_data_in_one_line(
     err = capsys.readouterr().err.splitlines()
     assert code == 1 and len(err) == 1 and err[0].startswith(prefix)
     assert named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("in_shape", ["0", "2,2"])
+def test_cli_reports_a_bad_linear_width_in_one_line(tmp_path, capsys, in_shape):
+    out = tmp_path / "out"
+    code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--model.zoo=linear", f"--model.in_shape={in_shape}"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
+    assert "model.in_shape" in err[0]
     assert not out.exists()
 
 

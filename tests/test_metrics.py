@@ -275,15 +275,15 @@ def test_robust_accuracy_monotone_in_eps_linear():
 
 
 def test_robust_accuracy_is_an_exact_count_ratio():
-    # every input predicts class 1; none right in the first batch of 256 and
-    # 15 right in the last 22, where (15/22)*22 is not 15 in floats
+    # every input predicts class 1; none right in the first attack slice of
+    # 256 and 15 right in the last 22, where (15/22)*22 is not 15 in floats
     m = linear_margin_model(1.0, 0.0)
     xs = np.ones((278, 2))
     ys = np.zeros(278, dtype=np.int64)
     ys[256:271] = 1
     ds = LabeledDataset(xs, ys)
     spec = AttackSpec("pgd", epsilon=0.0, steps=1, seed=0)
-    assert robust_accuracy(m, ds, spec, batch=256) == 15 / 278
+    assert robust_accuracy(m, ds, spec) == 15 / 278
 
 
 def test_metrics_csv_round_trip(tmp_path):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from slatlab.autodiff import (ShapeMismatch, Tape, UnknownSite, backward,
                               pass_counts)
-from slatlab.models import (CheckpointError, Layer, Model, ShapeTooSmall, build_linear,
-                            build_small_cnn, build_toy_mlp, forward_logits,
-                            forward_with_latents, load_checkpoint, load_into,
-                            loss_grads, save_checkpoint)
+from slatlab.models import (FORWARD_ROWS, CheckpointError, Layer, Model, ShapeTooSmall,
+                            build_linear, build_small_cnn, build_toy_mlp,
+                            forward_logits, forward_with_latents, load_checkpoint,
+                            load_into, loss_grads, save_checkpoint)
 
 
 def test_linear_parameter_count_and_sites():
@@ -152,6 +152,21 @@ def test_forward_logits_builds_no_tape(case, bsz, monkeypatch):
     assert np.array_equal(x, x_before)
     assert after == {"forward": before["forward"] + 1,
                      "backward": before["backward"]}
+
+
+@pytest.mark.parametrize("build,shape", [
+    (lambda: build_small_cnn(seed=3), (1, 28, 28)),
+    (lambda: build_toy_mlp(16, seed=3), (2,))], ids=["small_cnn", "toy_mlp"])
+def test_forward_logits_runs_fixed_row_slices_as_one_pass(build, shape):
+    model = build()
+    x = np.random.default_rng(3).uniform(size=(300,) + shape)
+    before = pass_counts()["forward"]
+    got = forward_logits(model, x)
+    assert pass_counts()["forward"] == before + 1
+    want = np.concatenate([forward_logits(model, x[i:i + FORWARD_ROWS])
+                           for i in (0, 128, 256)])
+    assert FORWARD_ROWS == 128 and got.shape == (300, model.n_classes)
+    assert np.array_equal(got, want)
 
 
 def test_forward_rejects_unknown_site_and_bad_shape():

@@ -145,16 +145,18 @@ def test_checkpoint_pass_counts(steps, restarts):
     reset_pass_counts()
     evaluate_checkpoint(m, x, y, TrainSpec(epsilon=0.1), ev, 0, 0.0, 0.0)
     sr = steps * restarts
-    assert pass_counts() == {"forward": sr + restarts + 7, "backward": sr + 3}
+    assert pass_counts() == {"forward": sr + restarts + 6, "backward": sr + 2}
 
 
 def _separate_probes_record(model, xs, ys, spec, ev, step, epoch, lr, clamp):
-    """A checkpoint record with every probe on its own sweeps: two input
-    gradients for the alignment, a third clean sweep for the site norms,
-    FGSM and R+FGSM logits, and separate accuracy and xent forwards."""
+    """A checkpoint record with every probe on its own sweeps: PGD over
+    256-row slices, two input gradients for the alignment, a third clean
+    sweep for the site norms, FGSM and R+FGSM logits, and separate accuracy
+    and xent forwards."""
     eps = ev.epsilon if ev.epsilon is not None else spec.epsilon
-    x_adv = pgd(model, xs, ys, eps, ev.alpha, ev.attack_steps,
-                ev.attack_restarts, clamp, seed=ev.seed)
+    x_adv = np.concatenate([pgd(model, xs[i:i + 256], ys[i:i + 256], eps, ev.alpha,
+                                ev.attack_steps, ev.attack_restarts, clamp, ev.seed)
+                            for i in range(0, len(xs), 256)])
     xa, ya = xs[:ev.align_n], ys[:ev.align_n]
     gamma = eps * np.random.default_rng(ev.seed).uniform(-1.0, 1.0, size=xa.shape)
     align = _row_cosines(input_grad(model, xa, ya), input_grad(model, xa + gamma, ya))
@@ -174,7 +176,8 @@ def _separate_probes_record(model, xs, ys, spec, ev, step, epoch, lr, clamp):
 
 def _toy_case():
     ds = gen_toy(ToySpec(n_per_class=300, seed=4))
-    # 600 examples: clean accuracy takes two batches of 512
+    # 600 examples: the attack takes three slices of 256, clean accuracy
+    # five forward slices of 128
     return build_toy_mlp(16, "softplus", seed=4), ds.xs, ds.ys, None, 0.1
 
 
