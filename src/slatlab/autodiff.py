@@ -75,10 +75,7 @@ def softmax(z):
 def _minus_onehot(p, labels):
     """softmax(z) - onehot(labels), per row: the xent gradient in z."""
     out = p.copy()
-    if p.ndim == 1:
-        out[int(labels)] -= 1.0
-    else:
-        out[np.arange(p.shape[0]), np.asarray(labels)] -= 1.0
+    out[np.arange(p.shape[0]), np.asarray(labels)] -= 1.0
     return out
 
 
@@ -99,7 +96,7 @@ class Node:
         self.op = op
         self.inputs = inputs          # tuple of node indices
         self.value = value
-        self.params = params or {}    # non-tensor op parameters (labels, scale c, ...)
+        self.params = params or {}    # non-tensor op parameters (labels, reduction)
         self.meta = meta              # forward intermediates the backward reads
                                       # (None when it recomputes or needs none)
 
@@ -149,8 +146,8 @@ class Tape:
 
 def _fwd_dense(values, params):
     x, w, b = values
-    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[0]:
-        raise ShapeMismatch("dense", f"x[..,{w.shape[0]}] @ {w.shape}", x.shape)
+    if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatch("dense", f"x[B,{w.shape[0]}] @ {w.shape}", x.shape)
     if b.shape != (w.shape[1],):
         raise ShapeMismatch("dense", (w.shape[1],), b.shape)
     return x @ w + b, None
@@ -167,25 +164,28 @@ def _fwd_conv2d(values, params):
     if b.shape != (f,):
         raise ShapeMismatch("conv2d", (f,), b.shape)
     bsz, _, h, w = x.shape
-    # the columns are not kept: the kernel gradient rebuilds them
-    out = _im2col(x, kh) @ k.reshape(f, -1).T
-    out += b
-    out = out.reshape(bsz, h, w, f).transpose(0, 3, 1, 2)
+    # filter-major (F, B*H*W), so the NCHW copy moves whole H*W planes; the
+    # columns are not kept: the kernel gradient rebuilds them
+    out = k.reshape(f, -1) @ _im2col(x, kh).T
+    out += b[:, None]
+    out = out.reshape(f, bsz, h, w).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out), None
 
 
 def _im2col(x, kh):
     """The (B*H*W, C*kh*kh) column matrix of x[B,C,H,W] for a zero-padded
-    kh x kh kernel, built by one slab copy per tap, each moving contiguous
-    W-runs: it is the transposed flat view of a (C, kh, kh, B, H, W) buffer,
-    F-contiguous, so the kernel gradient's cols.T is C-contiguous."""
+    kh x kh kernel, built from one zero-padded (C, B, H+2p, W+2p) copy of x
+    by one slab copy per tap, each moving contiguous W-runs: it is the
+    transposed flat view of a (C, kh, kh, B, H, W) buffer, F-contiguous, so
+    cols.T is C-contiguous."""
     p = kh // 2
     bsz, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.zeros((c, bsz, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
     buf = np.empty((c, kh, kh, bsz, h, w))
     for i in range(kh):
         for j in range(kh):
-            buf[:, i, j] = xp[:, :, i:i + h, j:j + w].transpose(1, 0, 2, 3)
+            buf[:, i, j] = xp[:, :, i:i + h, j:j + w]
     return buf.reshape(c * kh * kh, bsz * h * w).T
 
 
@@ -222,31 +222,19 @@ def _fwd_add(values, params):
     return a + b, None
 
 
-def _fwd_scale(values, params):
-    return values[0] * params["c"], None
-
-
 def _fwd_loss_xent(values, params):
     z = values[0]
-    labels = params["labels"]
-    if z.ndim == 1:
-        y = int(labels)
-        if not 0 <= y < z.shape[0]:
-            raise LabelOutOfRange(f"label {y} for {z.shape[0]} classes")
-        m = z.max()
-        loss = m + np.log(np.exp(z - m).sum()) - z[y]
-        return np.asarray(loss), {"p": softmax(z)}
-    if z.ndim == 2:
-        y = np.asarray(labels)
-        if y.shape != (z.shape[0],):
-            raise ShapeMismatch("loss_softmax_xent", (z.shape[0],), y.shape)
-        if y.min() < 0 or y.max() >= z.shape[1]:
-            raise LabelOutOfRange(f"labels outside [0,{z.shape[1]})")
-        losses = per_example_xent(z, y)
-        red = params.get("reduction", "mean")
-        loss = losses.mean() if red == "mean" else losses.sum()
-        return np.asarray(loss), {"p": softmax(z)}
-    raise ShapeMismatch("loss_softmax_xent", "[C] or [B,C]", z.shape)
+    if z.ndim != 2:
+        raise ShapeMismatch("loss_softmax_xent", "[B,C]", z.shape)
+    y = np.asarray(params["labels"])
+    if y.shape != (z.shape[0],):
+        raise ShapeMismatch("loss_softmax_xent", (z.shape[0],), y.shape)
+    if y.min() < 0 or y.max() >= z.shape[1]:
+        raise LabelOutOfRange(f"labels outside [0,{z.shape[1]})")
+    losses = per_example_xent(z, y)
+    red = params.get("reduction", "mean")
+    loss = losses.mean() if red == "mean" else losses.sum()
+    return np.asarray(loss), {"p": softmax(z)}
 
 
 # scaffolding ops: a loss built from them weights another node's entries
@@ -270,7 +258,6 @@ _FORWARD = {
     "maxpool2x2": _fwd_maxpool,
     "flatten": _fwd_flatten,
     "add": _fwd_add,
-    "scale": _fwd_scale,
     "loss_softmax_xent": _fwd_loss_xent,
     "mul": _fwd_mul,
     "sum_all": _fwd_sum_all,
@@ -284,10 +271,10 @@ _FORWARD = {
 def _vjp_dense(tape, node, g):
     xi, wi, bi = node.inputs
     x, w = tape.nodes[xi].value, tape.nodes[wi].value
-    skip, rank1 = tape.skip, x.ndim == 1
+    skip = tape.skip
     return [None if xi in skip else g @ w.T,
-            None if wi in skip else np.outer(x, g) if rank1 else x.T @ g,
-            None if bi in skip else g if rank1 else g.sum(axis=0)]
+            None if wi in skip else x.T @ g,
+            None if bi in skip else g.sum(axis=0)]
 
 
 def _vjp_conv2d(tape, node, g):
@@ -296,19 +283,19 @@ def _vjp_conv2d(tape, node, g):
     f, c, kh, kw = k.shape
     bsz, _, h, w = x.shape
     p = kh // 2
-    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * h * w, f)
+    gf = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, bsz * h * w)
     skip = tape.skip
-    gk = None if ki in skip else (_im2col(x, kh).T @ g2).T.reshape(f, c, kh, kw)
+    gk = None if ki in skip else (gf @ _im2col(x, kh)).reshape(f, c, kh, kw)
     gb = None if bi in skip else g.sum(axis=(0, 2, 3))
     if xi in skip:
         return [None, gk, gb]
-    # scatter in channels-last layout so every slice-add is contiguous
-    dwin = (g2 @ k.reshape(f, -1)).reshape(bsz, h, w, c, kh, kw)
-    gxp = np.zeros((bsz, h + 2 * p, w + 2 * p, c))
+    # scatter filter-major, tap by tap, so every slab add moves W-runs
+    dcols = (k.reshape(f, -1).T @ gf).reshape(c, kh, kw, bsz, h, w)
+    gxp = np.zeros((c, bsz, h + 2 * p, w + 2 * p))
     for i in range(kh):
         for j in range(kw):
-            gxp[:, i:i + h, j:j + w, :] += dwin[:, :, :, :, i, j]
-    gx = gxp[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2)
+            gxp[:, :, i:i + h, j:j + w] += dcols[:, i, j]
+    gx = gxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
     return [np.ascontiguousarray(gx), gk, gb]
 
 
@@ -356,13 +343,9 @@ def _vjp_add(tape, node, g):
     return [g, g]
 
 
-def _vjp_scale(tape, node, g):
-    return [g * node.params["c"]]
-
-
 def _vjp_loss_xent(tape, node, g):
     gz = _minus_onehot(node.meta["p"], node.params["labels"])
-    if gz.ndim == 2 and node.params.get("reduction", "mean") == "mean":
+    if node.params.get("reduction", "mean") == "mean":
         gz /= gz.shape[0]
     return [gz * g]
 
@@ -385,7 +368,6 @@ _NUMERIC_VJPS = {
     "maxpool2x2": _vjp_maxpool,
     "flatten": _vjp_flatten,
     "add": _vjp_add,
-    "scale": _vjp_scale,
     "loss_softmax_xent": _vjp_loss_xent,
     "mul": _vjp_mul,
     "sum_all": _vjp_sum_all,

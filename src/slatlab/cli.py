@@ -101,18 +101,23 @@ def _run(cfg, ckpt, eval_only):
         records = metrics_mod.read_metrics_csv(os.path.join(out, "metrics.csv"))
 
     ev = cfg.eval
-    attack = AttackSpec(kind="pgd", epsilon=ev.epsilon, alpha=ev.alpha,
-                        steps=ev.attack_steps, restarts=ev.attack_restarts,
-                        clamp=test_ds.input_scale, seed=ev.seed)
     eval_subset = training.eval_subset(test_ds, ev.n_eval, cfg.seed)
+    if eval_only or aborted is not None:
+        clean_acc = metrics_mod.accuracy(model, eval_subset.xs, eval_subset.ys)
+        robust_acc = metrics_mod.robust_accuracy(model, eval_subset, AttackSpec(
+            kind="pgd", epsilon=ev.epsilon, alpha=ev.alpha, steps=ev.attack_steps,
+            restarts=ev.attack_restarts, clamp=test_ds.input_scale, seed=ev.seed))
+    else:
+        # the last record measured the final model on this subset and attack
+        clean_acc, robust_acc = records[-1].clean_acc, records[-1].pgd_acc
 
     summary = {
         "method": cfg.train.method,
         "seed": cfg.seed,
         "epochs": cfg.train.epochs,
         "steps_per_epoch": steps_per_epoch,
-        "clean_acc": metrics_mod.accuracy(model, eval_subset.xs, eval_subset.ys),
-        "robust_acc": metrics_mod.robust_accuracy(model, eval_subset, attack),
+        "clean_acc": clean_acc,
+        "robust_acc": robust_acc,
         "attack": {"kind": "pgd", "epsilon": ev.epsilon, "steps": ev.attack_steps,
                    "restarts": ev.attack_restarts},
         "aborted": aborted,

@@ -163,11 +163,11 @@ def test_latent_delta_sign_convention():
     # grad [0.3, -0.2, 0] at eta 0.1 -> [0.1, -0.1, 0]; sign(0) stays 0
     g = np.array([0.3, -0.2, 0.0])
     tape = Tape()
-    h = tape.leaf(np.ones(3))
+    h = tape.leaf(np.ones((1, 3)))
     tape.register_site(0, h)
     gh = tape.record("dense", [h, g[:, None], np.zeros(1)])      # d(g.h)/dh = g
     backward(tape, tape.record("sum_all", [gh]))
-    assert np.array_equal(deltas_from_tape(tape, {0: 0.1})[0], [0.1, -0.1, 0.0])
+    assert np.array_equal(deltas_from_tape(tape, {0: 0.1})[0], [[0.1, -0.1, 0.0]])
 
 
 def test_latent_delta_at_input_site_equals_fgsm_perturbation():

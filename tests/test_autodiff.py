@@ -10,8 +10,8 @@ from slatlab.models import build_small_cnn, forward_with_latents, loss_grads
 
 def test_dense_identity():
     t = Tape()
-    out = t.record("dense", [np.array([1.0, 2.0]), np.eye(2), np.zeros(2)])
-    assert np.array_equal(out.value, [1.0, 2.0])
+    out = t.record("dense", [np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2)])
+    assert np.array_equal(out.value, [[1.0, 2.0]])
 
 
 def test_relu_definition():
@@ -31,18 +31,19 @@ def test_conv2d_center_of_ones():
 
 def test_xent_examples():
     t = Tape()
-    l0 = t.record("loss_softmax_xent", [np.array([0.0, 0.0])], labels=0)
+    zero = np.array([0])
+    l0 = t.record("loss_softmax_xent", [np.array([[0.0, 0.0]])], labels=zero)
     assert float(l0.value) == pytest.approx(np.log(2.0), rel=1e-12)
-    l1 = t.record("loss_softmax_xent", [np.array([10.0, 0.0])], labels=0)
+    l1 = t.record("loss_softmax_xent", [np.array([[10.0, 0.0]])], labels=zero)
     assert float(l1.value) == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-9)
-    l2 = t.record("loss_softmax_xent", [np.array([0.0, 10.0])], labels=0)
+    l2 = t.record("loss_softmax_xent", [np.array([[0.0, 10.0]])], labels=zero)
     assert float(l2.value) == pytest.approx(10.0 + np.log1p(np.exp(-10.0)), rel=1e-9)
 
 
 def test_xent_label_out_of_range():
     t = Tape()
     with pytest.raises(LabelOutOfRange):
-        t.record("loss_softmax_xent", [np.zeros(3)], labels=3)
+        t.record("loss_softmax_xent", [np.zeros((1, 3))], labels=np.array([3]))
     with pytest.raises(LabelOutOfRange):
         t.record("loss_softmax_xent", [np.zeros((2, 3))],
                  labels=np.array([0, -1]), reduction="sum")
@@ -57,10 +58,10 @@ def test_backward_sum_gives_ones():
 
 def test_backward_linear_gradient():
     t = Tape()
-    x = t.leaf(np.array([5.0, 5.0]))
+    x = t.leaf(np.array([[5.0, 5.0]]))
     out = t.record("dense", [x, np.array([[2.0], [-1.0]]), np.zeros(1)])
     backward(t, t.record("sum_all", [out]))
-    assert np.array_equal(t.grads[x.idx], [2.0, -1.0])
+    assert np.array_equal(t.grads[x.idx], [[2.0, -1.0]])
 
 
 def test_nonscalar_loss_rejected():
@@ -77,6 +78,11 @@ def test_shape_mismatch_reports_op():
     assert err.value.op == "dense"
     with pytest.raises(ShapeMismatch):
         t.record("add", [np.ones(3), np.ones(4)])
+    # every op takes a batch: an unbatched row is rejected
+    with pytest.raises(ShapeMismatch):
+        t.record("dense", [np.ones(2), np.eye(2), np.zeros(2)])
+    with pytest.raises(ShapeMismatch):
+        t.record("loss_softmax_xent", [np.zeros(3)], labels=np.array([0]))
 
 
 SMOOTH_POINTS = 10  # per-op sample for the unit suite; the acceptance gate runs 100
@@ -121,8 +127,6 @@ def op_graph_builders():
         lambda r: r.normal(size=(2, 2, 2, 2))))
     cases.append(("add", lambda t, x: scalarize(t, t.record(
         "add", [x, t.leaf(np.full((3, 2), 0.5))])), lambda r: r.normal(size=(3, 2))))
-    cases.append(("scale", lambda t, x: scalarize(t, t.record(
-        "scale", [x], c=-1.7)), lambda r: r.normal(size=(3, 2))))
     cases.append(("loss_softmax_xent", lambda t, x: t.record(
         "loss_softmax_xent", [x], labels=np.array([0, 2, 1]), reduction="mean"),
         lambda r: r.normal(size=(3, 3))))
@@ -177,7 +181,7 @@ def test_grad_check_linear_is_tight():
     def builder(t, x):
         return t.record("sum_all", [t.record("dense", [x, w, np.zeros(1)])])
 
-    assert grad_check(builder, np.array([0.3, -0.7])) <= 1e-10
+    assert grad_check(builder, np.array([[0.3, -0.7]])) <= 1e-10
 
 
 def test_pass_counters():
@@ -241,7 +245,34 @@ def test_conv2d_columns_match_the_sliding_window_layout(c, h, f, bsz):
     assert np.array_equal(autodiff._im2col(x, 3), _sliding_window_cols(x, 3))
 
 
-@pytest.mark.parametrize("bsz", [1, 7, 64])
+# conv1 and conv2 of the 28x28 small CNN, and conv1 on a 12x12 image; the
+# batches cover OpenBLAS's small-matrix kernel and its blocked kernel
+@pytest.mark.parametrize("c,h,f", [(1, 28, 16), (16, 14, 32), (1, 12, 16)])
+@pytest.mark.parametrize("bsz", [1, 7, 8, 9, 64, 128])
+def test_conv2d_output_and_input_gradient_match_sliding_window_columns(c, h, f, bsz):
+    rng = np.random.default_rng(bsz)
+    x = rng.normal(size=(bsz, c, h, h))
+    k = rng.normal(size=(f, c, 3, 3))
+    b = rng.normal(size=f)
+    g = rng.normal(size=(bsz, f, h, h))
+    t = Tape()
+    xn = t.leaf(x)
+    out = t.record("conv2d", [xn, k, b])
+    backward(t, t.record("sum_all", [t.record("mul", [out, t.leaf(g)])]))
+    # relative to the largest entry: the references sum in another order,
+    # so an entry near zero can differ from them by more than its own 1e-12
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    want = _sliding_window_cols(x, 3) @ k.reshape(f, -1).T + b
+    assert_close(out.value, want.reshape(bsz, h, h, f).transpose(0, 3, 1, 2))
+    # the input gradient is g correlated with the flipped, transposed kernel
+    flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    want = _sliding_window_cols(g, 3) @ flipped.T
+    assert_close(t.grads[xn.idx], want.reshape(bsz, h, h, c).transpose(0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("bsz", [1, 7, 64, 128])
 def test_conv2d_kernel_gradients_match_sliding_window_columns(bsz):
     model = build_small_cnn((1, 28, 28), 10, seed=bsz)
     rng = np.random.default_rng(bsz)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from slatlab import metrics, training
+from slatlab.autodiff import pass_counts
 from slatlab.cli import main, run
 from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets,
                             build_model, parse_config, parse_number)
@@ -310,6 +312,34 @@ def test_final_record_and_summary_agree_on_robust_accuracy(tmp_path):
     assert EvalSettings().n_eval == 512
     summary = json.loads((out / "summary.json").read_text())
     assert read_metrics_csv(out / "metrics.csv")[-1].pgd_acc == summary["robust_acc"]
+
+
+def test_train_makes_no_pass_after_its_last_record(tmp_path, monkeypatch):
+    # summary.json takes both accuracies from the last checkpoint record;
+    # after it, only the toy boundary probe runs the model
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            before = pass_counts()
+            out = fn(*args, **kwargs)
+            calls.append((fn.__name__, before, pass_counts(), out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(training, "evaluate_checkpoint",
+                        spy(training.evaluate_checkpoint))
+    monkeypatch.setattr(metrics, "boundary_nonrobust_ratio",
+                        spy(metrics.boundary_nonrobust_ratio))
+    cfg = "[run]\nseed = 5\n[data]\nkind = toy\n[train]\nmethod = slat\n"
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                 "--eval.steps=3", "--output.save_landscape=false"]) == 0
+    *_, (last, _, after_record, rec), (probe, before, after, _) = calls
+    assert (last, probe) == ("evaluate_checkpoint", "boundary_nonrobust_ratio")
+    assert before == after_record and pass_counts() == after
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["clean_acc"], summary["robust_acc"]) == (rec.clean_acc, rec.pgd_acc)
 
 
 def test_run_deterministic_outputs(tmp_path):
