@@ -24,7 +24,7 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from . import training
 from .attacks import AttackSpec
-from .config import (ParseError, ValidationError, build_datasets, build_model,
+from .config import (ParseError, ValidationError, build_dataset, build_model,
                      parse_config)
 from .data import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 
@@ -61,44 +61,48 @@ def run(cfg, ckpt=None, eval_only=False):
         return _run(cfg, ckpt, eval_only)
 
 
-def _load(cfg, ckpt=None):
-    """(train set, test set, model), each set checked against the model, with
-    the checkpoint's parameters loaded if one is given."""
-    train_ds, test_ds = build_datasets(cfg)
+def _load(cfg, ckpt, splits):
+    """({split: dataset} for the named splits only, model), each set checked
+    against the model, with the checkpoint's parameters loaded if one is given."""
+    sets = {split: build_dataset(cfg, split) for split in splits}
     model = build_model(cfg)
-    for name, ds in (("training", train_ds), ("test", test_ds)):
+    for name, ds in sets.items():
         if ds.xs.shape[1:] != model.input_shape:
-            raise DataMismatch(f"{name} examples have shape {ds.xs.shape[1:]}, the "
-                               f"{cfg.model.zoo} model takes {model.input_shape}")
+            raise DataMismatch(f"{name} set examples have shape {ds.xs.shape[1:]}, "
+                               f"the {cfg.model.zoo} model takes {model.input_shape}")
         if ds.ys.min() < 0 or ds.ys.max() >= model.n_classes:
-            raise DataMismatch(f"{name} labels span {ds.ys.min()}..{ds.ys.max()}, "
+            raise DataMismatch(f"{name} set labels span {ds.ys.min()}..{ds.ys.max()}, "
                                f"the model has {model.n_classes} classes")
     if ckpt:
         models_mod.load_into(model, models_mod.load_checkpoint(ckpt))
-    return train_ds, test_ds, model
+    return sets, model
 
 
 def _run(cfg, ckpt, eval_only):
     t0 = time.perf_counter()
-    train_ds, test_ds, model = _load(cfg, ckpt)
-    out = cfg.output.dir
+    sets, model = _load(cfg, ckpt, ("test",) if eval_only else ("train", "test"))
+    test_ds, out = sets["test"], cfg.output.dir
     os.makedirs(out, exist_ok=True)
 
-    steps_per_epoch = math.ceil(len(train_ds) / cfg.train.batch)
     records = []
     aborted = None
     if not eval_only:
+        steps_per_epoch = math.ceil(len(sets["train"]) / cfg.train.batch)
         writer = metrics_mod.MetricCsvWriter(os.path.join(out, "metrics.csv"))
         try:
-            training.train(model, train_ds, cfg.train,
+            training.train(model, sets["train"], cfg.train,
                            sinks=(writer, records.append),
                            eval_data=test_ds, eval_settings=cfg.eval)
         except training.NonFiniteGradient as exc:
             aborted = str(exc)
         finally:
             writer.close()
-    elif os.path.exists(os.path.join(out, "metrics.csv")):
-        records = metrics_mod.read_metrics_csv(os.path.join(out, "metrics.csv"))
+    else:
+        if os.path.exists(os.path.join(out, "metrics.csv")):
+            records = metrics_mod.read_metrics_csv(os.path.join(out, "metrics.csv"))
+        # from the run that wrote the records, whose epoch is step / steps_per_epoch
+        steps_per_epoch = next((round(r.step / r.epoch) for r in records if r.step > 0),
+                               None)
 
     ev = cfg.eval
     eval_subset = training.eval_subset(test_ds, ev.n_eval, cfg.seed)
@@ -122,9 +126,8 @@ def _run(cfg, ckpt, eval_only):
                    "restarts": ev.attack_restarts},
         "aborted": aborted,
     }
-    window = ev.co_window or 2 * steps_per_epoch
     summary["co_step"] = metrics_mod.detect_catastrophic_overfitting(
-        records, window) if records else None
+        records, ev.co_window or 2 * steps_per_epoch) if steps_per_epoch else None
     degenerate = None
     if model.input_shape == (2,) and model.n_classes == 2:
         try:
@@ -290,9 +293,9 @@ def main(argv=None):
         if args.verb == "eval":
             return run(cfg, ckpt=args.ckpt, eval_only=True)
         if args.verb == "landscape":
-            _, test_ds, model = _load(cfg, args.ckpt)
+            sets, model = _load(cfg, args.ckpt, ("test",))
             os.makedirs(cfg.output.dir, exist_ok=True)
-            subset = training.eval_subset(test_ds, cfg.eval.n_eval, cfg.seed)
+            subset = training.eval_subset(sets["test"], cfg.eval.n_eval, cfg.seed)
             print(_save_landscape(cfg, model, subset))
             return 0
     except UsageError as exc:

@@ -226,6 +226,8 @@ def _fill_defaults(cfg, explicit):
 
 def _validate(cfg):
     problems = []
+    if cfg.seed < 0:
+        problems.append("run.seed must be >= 0")
     eta = cfg.model.eta
     etas = eta.values() if isinstance(eta, dict) else [eta]
     if not all(math.isfinite(v) and v >= 0 for v in etas):
@@ -297,18 +299,19 @@ def build_model(cfg):
                                       seed=cfg.seed, sites=m.k)
 
 
-def build_datasets(cfg):
-    """Returns (train dataset, held-out test dataset)."""
+def build_dataset(cfg, split):
+    """The "train" or held-out "test" dataset of the configured task."""
     d = cfg.data
     if d.kind == "toy":
-        train = data_mod.gen_toy(data_mod.ToySpec(d.mu, d.sigma, d.n_per_class,
-                                                  seed=cfg.seed))
-        test = data_mod.gen_toy(data_mod.ToySpec(d.mu, d.sigma, d.test_n_per_class,
-                                                 seed=cfg.seed + 10_000))
-        return train, test
-    train = data_mod.load_idx(d.train_images, d.train_labels)
-    test = data_mod.load_idx(d.test_images, d.test_labels)
-    if d.limit:
-        train = train.subset(np.arange(min(d.limit, len(train))))
-    return train, test
+        n, seed = ((d.n_per_class, cfg.seed) if split == "train"
+                   else (d.test_n_per_class, cfg.seed + 10_000))
+        return data_mod.gen_toy(data_mod.ToySpec(d.mu, d.sigma, n, seed=seed))
+    ds = data_mod.load_idx(getattr(d, f"{split}_images"), getattr(d, f"{split}_labels"))
+    if split == "train" and d.limit:
+        ds = ds.subset(np.arange(min(d.limit, len(ds))))
+    return ds
 
+
+def build_datasets(cfg):
+    """Returns (train dataset, held-out test dataset)."""
+    return build_dataset(cfg, "train"), build_dataset(cfg, "test")

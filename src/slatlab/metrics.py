@@ -292,7 +292,8 @@ def write_metrics_csv(records, path):
 
 class BadMetricsCsv(Exception):
     """A metrics.csv whose header lacks a column, or whose row has another
-    cell count than the header or a cell that is not a number."""
+    cell count than the header, a cell that is not a number, or, past step 0,
+    an epoch that gives no steps per epoch (step / epoch) >= 1."""
 
 
 def read_metrics_csv(path):
@@ -309,10 +310,15 @@ def read_metrics_csv(path):
                     raise BadMetricsCsv(f"{path}, line {lineno}: {len(parts)} "
                                         f"cells, the header has {len(header)}")
                 vals = dict(zip(header, parts))
-                out.append(MetricRecord(
+                rec = MetricRecord(
                     step=int(vals["step"]),
                     l1_grad_norms={k: float(vals[f"l1_grad_k{k}"]) for k in site_ids},
-                    **{c: float(vals[c]) for c in CSV_FIXED_LEAD[1:] + CSV_FIXED_TAIL}))
+                    **{c: float(vals[c]) for c in CSV_FIXED_LEAD[1:] + CSV_FIXED_TAIL})
+                if rec.step > 0 and not (rec.epoch > 0
+                                         and 1 <= rec.step / rec.epoch < np.inf):
+                    raise BadMetricsCsv(f"{path}, line {lineno}: epoch {rec.epoch!r} at "
+                                        f"step {rec.step} gives no steps_per_epoch >= 1")
+                out.append(rec)
     except KeyError as exc:
         raise BadMetricsCsv(f"{path}: no {exc} column") from None
     except ValueError as exc:

@@ -120,6 +120,8 @@ class EvalSettings(_Validated):
             problems.append("eval.n_eval and eval.align_n must be >= 1")
         if self.landscape_n < 2:
             problems.append("eval.landscape_n must be >= 2")
+        if self.seed < 0:
+            problems.append("eval.seed must be >= 0")
         return problems
 
 

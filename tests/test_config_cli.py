@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slatlab import metrics, training
+from slatlab import data, metrics, training
 from slatlab.autodiff import pass_counts
 from slatlab.cli import main, run
 from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets,
@@ -217,7 +217,8 @@ def test_train_rules_have_one_owner(field, value):
     ("n_eval", "n_eval", 0), ("align_n", "align_n", 0),
     ("landscape_n", "landscape_n", 1), ("alpha", "alpha", -1.0),
     ("alpha", "alpha", float("nan")), ("epsilon", "epsilon", -0.1),
-    ("epsilon", "epsilon", float("inf")), ("co_window", "co_window", -1)])
+    ("epsilon", "epsilon", float("inf")), ("co_window", "co_window", -1),
+    ("seed", "seed", -1)])
 def test_eval_rules_have_one_owner(field, key, value):
     with pytest.raises(ValueError, match=f"eval.{key}"):
         EvalSettings(**{field: value})
@@ -362,11 +363,41 @@ def test_eval_only_reproduces_summary(tmp_path):
     cfg = parse_config(path, {"output.dir": out})
     assert run(cfg) == 0
     first = json.loads((tmp_path / "out" / "summary.json").read_text())
-    cfg2 = parse_config(path, {"output.dir": out})
+    # another batch does not change what the records say
+    cfg2 = parse_config(path, {"output.dir": out, "train.batch": "5"})
     assert run(cfg2, ckpt=os.path.join(out, "final.ckpt"), eval_only=True) == 0
     second = json.loads((tmp_path / "out" / "summary.json").read_text())
-    for key in ("clean_acc", "robust_acc", "co_step"):
+    for key in ("clean_acc", "robust_acc", "co_step", "steps_per_epoch"):
         assert first[key] == second[key]
+    assert second["steps_per_epoch"] == 3     # 48 training examples, batch 16
+
+
+def test_eval_without_records_reports_no_steps_per_epoch(tmp_path):
+    path = write_cfg(tmp_path)
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(build_model(parse_config(path)), ckpt)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out"),
+                 "--ckpt", str(ckpt)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["steps_per_epoch"] is None and summary["co_step"] is None
+
+
+def test_eval_takes_steps_per_epoch_from_the_records_not_the_batch(tmp_path):
+    # records of a run at 3 steps per epoch whose robust accuracy falls by 0.8
+    # in 5 steps: a collapse within the default window of 2 epochs (6 steps).
+    # Batch 48 would take 1 step per epoch over the 48 training examples.
+    out = tmp_path / "out"
+    out.mkdir()
+    metrics.write_metrics_csv(
+        [metrics.MetricRecord(step, step / 3, 0.9, pgd, 1.0, 0.5)
+         for step, pgd in ((0, 0.9), (5, 0.1))], out / "metrics.csv")
+    path = write_cfg(tmp_path)
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(build_model(parse_config(path)), ckpt)
+    assert main(["eval", "--config", path, "--out", str(out), "--ckpt", str(ckpt),
+                 "--train.batch=48"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["steps_per_epoch"], summary["co_step"]) == (3, 5)
 
 
 def test_cli_train_and_exit_codes(tmp_path, capsys):
@@ -418,8 +449,17 @@ def _with_cell(lines, row, col, text):
     (lambda lines: [ln.replace(",pgd_acc,", ",pgd,") for ln in lines],
      "no 'pgd_acc' column"),
     (lambda lines: _with_cell(lines, 2, 2, "abc"),
-     "line 3: could not convert string to float: 'abc'")],
-    ids=["partial row", "missing column", "non-numeric cell"])
+     "line 3: could not convert string to float: 'abc'"),
+    (lambda lines: _with_cell(lines, 2, 1, "0.0"),
+     "line 3: epoch 0.0 at step 3 gives no steps_per_epoch >= 1"),
+    (lambda lines: _with_cell(lines, 2, 1, "nan"),
+     "line 3: epoch nan at step 3 gives no steps_per_epoch >= 1"),
+    (lambda lines: _with_cell(lines, 2, 1, "5e-324"),
+     "line 3: epoch 5e-324 at step 3 gives no steps_per_epoch >= 1"),
+    (lambda lines: _with_cell(lines, 2, 1, "4.0"),
+     "line 3: epoch 4.0 at step 3 gives no steps_per_epoch >= 1")],
+    ids=["partial row", "missing column", "non-numeric cell", "zero epoch",
+         "nan epoch", "subnormal epoch", "epoch past its step"])
 def test_eval_reports_a_bad_metrics_csv_in_one_line(tmp_path, capsys, edit, message):
     path = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -442,7 +482,7 @@ def test_eval_reports_a_bad_metrics_csv_in_one_line(tmp_path, capsys, edit, mess
     "--train.weight_decay=nan", "--train.weight_decay=inf",
     "--train.weight_decay=-1e-4", "--train.lambda_ga=-1", "--train.lambda_ga=nan",
     "--train.checkpoint_every=-2", "--eval.co_window=-5", "--eval.alpha=-0.1",
-    "--eval.alpha=nan"])
+    "--eval.alpha=nan", "--run.seed=-1", "--eval.seed=-1"])
 def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
     out = tmp_path / "out"
     code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), override])
@@ -450,6 +490,22 @@ def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
     assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
     assert override[2:override.index("=")] in err[0]
     assert not out.exists()
+
+
+def test_a_negative_seed_is_a_config_error_on_the_flag_and_in_a_sweep(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "run.seed" in err[0]
+    assert not out.exists()
+    monkeypatch.setenv("SLATLAB_THREADS", "1")
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--out", "sweep_out",
+                 "--train.epochs=1", "--param", "run.seed", "--values", "2,-1"]) == 1
+    lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("2,0,") and lines[2].startswith("-1,1,")
 
 
 @pytest.mark.parametrize("overrides,kinds", [
@@ -578,6 +634,51 @@ def test_cli_reports_an_empty_idx_set_in_one_line(tmp_path, capsys, verb,
     err = capsys.readouterr().err.splitlines()
     assert code == 1 and len(err) == 1 and err[0].startswith("input error:")
     assert "no examples" in err[0]
+    assert not out.exists()
+
+
+def _spoil_the_training_pair(tmp_path, task, spoil):
+    """task's overrides with its training pair corrupt or empty."""
+    if spoil == "corrupt":
+        (tmp_path / "bad.idx").write_bytes(b"\x00\x00\x08\x01")
+        return [*task, f"--data.train_labels={tmp_path / 'bad.idx'}"]
+    (tmp_path / "empty").mkdir()
+    return [*task, *_idx_task(tmp_path / "empty", 0, 1)[2:4]]
+
+
+@pytest.mark.parametrize("spoil", ["corrupt", "empty"])
+def test_eval_verbs_read_only_the_test_pair(tmp_path, capsys, monkeypatch, spoil):
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(build_small_cnn((1, 8, 8), 10, seed=3), ckpt)
+    task = _idx_task(tmp_path, 4, 4)
+    spoiled = _spoil_the_training_pair(tmp_path, task, spoil)
+    opened = []
+    load_idx = data.load_idx
+    monkeypatch.setattr(data, "load_idx",
+                        lambda images, labels: opened.append({images, labels})
+                        or load_idx(images, labels))
+    outputs = []
+    for args in (task, spoiled):
+        files = {}
+        for verb in ("eval", "landscape"):
+            out = tmp_path / f"{verb}_{len(outputs)}"
+            opened.clear()
+            assert main([verb, "--config", write_cfg(tmp_path), "--out", str(out),
+                         "--ckpt", str(ckpt), *args]) == 0
+            assert opened == [{str(tmp_path / "test_i.idx"), str(tmp_path / "test_l.idx")}]
+            files.update({(verb, p.name): p.read_bytes() for p in out.iterdir()})
+        summary = json.loads(files.pop(("eval", "summary.json")))
+        summary.pop("wall_clock_sec")
+        outputs.append((summary, files))
+    assert outputs[0] == outputs[1]
+    assert set(outputs[0][1]) == {("eval", "landscape_slat.csv"),
+                                  ("landscape", "landscape_slat.csv")}
+    capsys.readouterr()
+    out = tmp_path / "train_out"
+    assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 *spoiled]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
     assert not out.exists()
 
 
