@@ -10,13 +10,13 @@ model cannot take, or a toy run whose decision boundary is degenerate),
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from . import training
 from .attacks import AttackSpec
-from .config import (ParseError, ValidationError, build_dataset, build_model,
-                     parse_config)
+from .config import (_SCHEMA, ParseError, ValidationError, build_dataset,
+                     build_model, parse_config)
 from .data import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 
 _OVERRIDE_RE = re.compile(r"^--([a-z_]+\.[a-z_]+)=(.*)$")
@@ -40,6 +40,14 @@ class DataMismatch(Exception):
 INPUT_ERRORS = (models_mod.CheckpointError, BadMagic, TruncatedFile,
                 CountMismatch, EmptyDataset, DataMismatch,
                 metrics_mod.BadMetricsCsv, OSError)
+RUN_ERRORS = (ParseError, ValidationError, *INPUT_ERRORS)
+
+
+def _error_line(exc):
+    """The one stderr line for a config, input or I/O error."""
+    kind = ("config" if isinstance(exc, (ParseError, ValidationError))
+            else "I/O" if isinstance(exc, OSError) else "input")
+    return f"{kind} error: {exc}"
 
 
 class UsageError(Exception):
@@ -161,15 +169,33 @@ def _save_landscape(cfg, model, eval_subset):
     return path
 
 
-def sweep(config_path, overrides, param, values, out_root):
-    """One run per value of a dotted config parameter; merged sweep.csv."""
-    if not values or not all(v.strip() for v in values):
+def _run_values(config_path, overrides, param, values, dirs):
+    """Run the config once per value of param, into its dir, in order ->
+    [(value, exit code, summary)]. A bad config or input gives exit code 1, an
+    empty summary and one stderr line; the later values still run."""
+    results = []
+    for value, out_dir in zip(values, dirs):
+        try:
+            cfg = parse_config(config_path,
+                               {**overrides, param: value, "output.dir": out_dir})
+            code = run(cfg)
+            with open(os.path.join(out_dir, "summary.json")) as fh:
+                results.append((value, code, json.load(fh)))
+        except RUN_ERRORS as exc:
+            print(f"{param}={value}: {_error_line(exc)}", file=sys.stderr)
+            results.append((value, 1, {}))
+    return results
+
+
+def sweep(config_path, overrides, param, values_text, out_root):
+    """One run per value of a dotted config key; merged sweep.csv. The values
+    are split on ';' if the text holds one (per-site eta), else on ','."""
+    section, _, key = param.partition(".")
+    if key not in _SCHEMA.get(section, {}) or param == "output.dir":
+        raise ValidationError([f"sweep over {param}: not a config key it can set"])
+    values = values_text.split(";" if ";" in values_text else ",")
+    if not all(v.strip() for v in values):
         raise ValidationError([f"sweep over {param}: empty value in {values!r}"])
-    env = os.environ.get("SLATLAB_THREADS")
-    try:
-        workers = max(1, int(env) if env else min(len(values), os.cpu_count() or 1))
-    except ValueError:
-        raise ValidationError([f"SLATLAB_THREADS: not an integer: {env!r}"]) from None
     dirs = [os.path.join(out_root, f"{param}_{re.sub(r'[^A-Za-z0-9_.-]', '_', v)}")
             for v in values]
     for i, d in enumerate(dirs):
@@ -178,58 +204,33 @@ def sweep(config_path, overrides, param, values, out_root):
                                    f"{values[dirs.index(d)]!r} and {values[i]!r} "
                                    f"both write {d}"])
     os.makedirs(out_root, exist_ok=True)
-
-    def one(value, out_dir):
-        ov = dict(overrides)
-        ov[param] = value
-        ov["output.dir"] = out_dir
-        try:
-            cfg = parse_config(config_path, ov)
-            code = run(cfg)
-            with open(os.path.join(ov["output.dir"], "summary.json")) as fh:
-                summary = json.load(fh)
-            return value, code, summary
-        except (ParseError, ValidationError, *INPUT_ERRORS) as exc:
-            return value, 1, {"error": str(exc)}
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, values, dirs))
-
-    with open(os.path.join(out_root, "sweep.csv"), "w") as fh:
-        fh.write(f"{param},exit_code,clean_acc,robust_acc,co_step\n")
-        for value, code, summary in results:
-            fh.write(",".join([
-                value, str(code),
-                repr(summary.get("clean_acc", float("nan"))),
-                repr(summary.get("robust_acc", float("nan"))),
-                str(summary.get("co_step")),
-            ]) + "\n")
-    worst = max((code for _, code, _ in results), default=0)
-    return worst
+    results = _run_values(config_path, overrides, param, values, dirs)
+    with open(os.path.join(out_root, "sweep.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([param, "exit_code", "clean_acc", "robust_acc", "co_step"])
+        for value, code, s in results:
+            writer.writerow([value, code, repr(s.get("clean_acc", math.nan)),
+                             repr(s.get("robust_acc", math.nan)),
+                             str(s.get("co_step"))])
+    return max(code for _, code, _ in results)
 
 
 def toy_demo(config_path, overrides):
-    """Paired standard / FGSM-AT / SLAT runs on the toy task."""
-    base = parse_config(config_path, overrides)
-    out_root = base.output.dir
+    """Paired standard / FGSM-AT / SLAT runs on the toy task: the sweep's loop
+    over train.method, into <out>/<method>/."""
+    out_root = parse_config(config_path, overrides).output.dir
     os.makedirs(out_root, exist_ok=True)
-    merged = {}
-    code = 0
-    for method in ("standard", "fgsm_at", "slat"):
-        ov = dict(overrides)
-        ov["train.method"] = method
-        ov["output.dir"] = os.path.join(out_root, method)
-        cfg = parse_config(config_path, ov)
-        code = max(code, run(cfg))
-        with open(os.path.join(ov["output.dir"], "summary.json")) as fh:
-            s = json.load(fh)
-        merged[method] = {k: s.get(k) for k in
-                          ("clean_acc", "robust_acc", "boundary_ratio", "co_step")}
+    methods = ("standard", "fgsm_at", "slat")
+    results = _run_values(config_path, overrides, "train.method", methods,
+                          [os.path.join(out_root, m) for m in methods])
+    merged = {method: {k: s.get(k) for k in
+                       ("clean_acc", "robust_acc", "boundary_ratio", "co_step")}
+              for method, _, s in results}
     with open(os.path.join(out_root, "summary.json"), "w") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(merged, indent=2, sort_keys=True))
-    return code
+    return max(code for _, code, _ in results)
 
 
 def _split_overrides(argv):
@@ -262,7 +263,8 @@ def _build_parser():
     common(sp)
     sp.add_argument("--param", required=True, help="dotted key, e.g. train.epsilon")
     sp.add_argument("--values", required=True,
-                    help="comma-separated values, fractions like 8/255 allowed")
+                    help="comma-separated values, or ;-separated when a value "
+                    "holds commas (per-site eta); fractions like 8/255 allowed")
     sp = sub.add_parser("landscape", help="loss-landscape grid for a checkpoint")
     common(sp)
     sp.add_argument("--ckpt", required=True)
@@ -281,8 +283,7 @@ def main(argv=None):
         if args.out is not None:
             overrides["output.dir"] = args.out
         if args.verb == "sweep":
-            return sweep(args.config, overrides, args.param,
-                         args.values.split(","),
+            return sweep(args.config, overrides, args.param, args.values,
                          overrides.get("output.dir", "sweep_out"))
         if args.verb == "toy-demo":
             return toy_demo(args.config, overrides)
@@ -301,12 +302,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except INPUT_ERRORS as exc:
-        kind = "I/O" if isinstance(exc, OSError) else "input"
-        print(f"{kind} error: {exc}", file=sys.stderr)
+    except RUN_ERRORS as exc:
+        print(_error_line(exc), file=sys.stderr)
         return 1
     return 0
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -493,14 +494,13 @@ def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
 
 
 def test_a_negative_seed_is_a_config_error_on_the_flag_and_in_a_sweep(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
                  "--seed", "-1"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and "run.seed" in err[0]
     assert not out.exists()
-    monkeypatch.setenv("SLATLAB_THREADS", "1")
     assert main(["sweep", "--config", write_cfg(tmp_path), "--out", "sweep_out",
                  "--train.epochs=1", "--param", "run.seed", "--values", "2,-1"]) == 1
     lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
@@ -523,8 +523,7 @@ def test_cli_rejects_fast_ga_on_a_non_smooth_model_in_one_line(
     assert not out.exists()
 
 
-def test_fast_ga_sweep_keeps_the_smooth_row(tmp_path, monkeypatch):
-    monkeypatch.setenv("SLATLAB_THREADS", "1")
+def test_fast_ga_sweep_keeps_the_smooth_row(tmp_path):
     code = main(["sweep", "--config", write_cfg(tmp_path), "--out", "sweep_out",
                  "--train.method=slat_fast_ga", "--train.epochs=1",
                  "--param", "model.activation", "--values", "softplus,relu"])
@@ -683,7 +682,6 @@ def test_eval_verbs_read_only_the_test_pair(tmp_path, capsys, monkeypatch, spoil
 
 
 def test_sweep_keeps_its_rows_past_a_bad_input_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("SLATLAB_THREADS", "1")
     monkeypatch.chdir(tmp_path)
     task = _idx_task(tmp_path, 4, 4)
     os.replace(tmp_path / "train_l.idx", tmp_path / "good.idx")
@@ -723,8 +721,7 @@ def test_cli_dotted_override(tmp_path):
     assert (tmp_path / "ov_out" / "landscape_standard.csv").exists()
 
 
-def test_sweep_merges_rows(tmp_path, monkeypatch):
-    monkeypatch.setenv("SLATLAB_THREADS", "1")
+def test_sweep_merges_rows(tmp_path):
     path = write_cfg(tmp_path)
     out = str(tmp_path / "sweep_out")
     code = main(["sweep", "--config", path, "--out", out,
@@ -736,18 +733,6 @@ def test_sweep_merges_rows(tmp_path, monkeypatch):
     assert lines[1].startswith("0.05,0")
 
 
-def test_sweep_reports_a_bad_thread_count_in_one_line(tmp_path, capsys,
-                                                       monkeypatch):
-    monkeypatch.setenv("SLATLAB_THREADS", "abc")
-    out = tmp_path / "sweep_out"
-    code = main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
-                 "--param", "train.epsilon", "--values", "0.05,0.1"])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
-    assert "SLATLAB_THREADS" in err[0]
-    assert not out.exists()
-
-
 def test_sweep_empty_values_is_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path)
     for values in ("", "0.1,", ",0.1"):
@@ -756,6 +741,17 @@ def test_sweep_empty_values_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
     assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("param", ["train.wat", "seed", "output.dir"])
+def test_sweep_rejects_a_param_it_cannot_set(tmp_path, capsys, param):
+    out = tmp_path / "sweep_out"
+    code = main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--param", param, "--values", "1,2"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and err == [
+        f"config error: sweep over {param}: not a config key it can set"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("values,first,second", [
@@ -772,8 +768,7 @@ def test_sweep_rejects_values_that_share_a_directory(tmp_path, capsys, values,
     assert not out.exists()
 
 
-def test_sweep_continues_past_failures(tmp_path, monkeypatch):
-    monkeypatch.setenv("SLATLAB_THREADS", "1")
+def test_sweep_continues_past_failures(tmp_path, capsys):
     path = write_cfg(tmp_path)
     out = str(tmp_path / "sweep_fail")
     code = main(["sweep", "--config", path, "--out", out,
@@ -783,6 +778,53 @@ def test_sweep_continues_past_failures(tmp_path, monkeypatch):
     assert len(lines) == 3
     assert lines[1].startswith("bogus,1")
     assert lines[2].startswith("standard,0")
+    assert capsys.readouterr().err.splitlines() == [
+        "train.method=bogus: config error: train.method: unknown method 'bogus'"]
+
+
+def test_sweep_carries_per_site_eta(tmp_path):
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--param", "model.eta", "--values", "0:0.1,1:0.05;0:0.2,1:0.1"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["model.eta", "exit_code"]
+    assert [row[:2] for row in rows[1:]] == [["0:0.1,1:0.05", "0"], ["0:0.2,1:0.1", "0"]]
+
+
+def _run_files(out):
+    """{file name: bytes} of a run directory, summary.json without its wall clock."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    summary = json.loads(files.pop("summary.json"))
+    summary.pop("wall_clock_sec")
+    return summary, files
+
+
+def test_each_sweep_run_equals_a_standalone_train(tmp_path):
+    path = write_cfg(tmp_path)
+    assert main(["sweep", "--config", path, "--out", "sweep_out",
+                 "--param", "train.epsilon", "--values", "0.05,1/8"]) == 0
+    for value, name in (("0.05", "0.05"), ("1/8", "1_8")):
+        alone = tmp_path / f"alone_{name}"
+        assert main(["train", "--config", path, "--out", str(alone),
+                     f"--train.epsilon={value}"]) == 0
+        swept = _run_files(tmp_path / "sweep_out" / f"train.epsilon_{name}")
+        assert swept == _run_files(alone)
+        assert set(swept[1]) == {"metrics.csv", "final.ckpt", "landscape_slat.csv"}
+
+
+def test_toy_demo_runs_every_method_past_a_bad_input_file(tmp_path, capsys):
+    task = _idx_task(tmp_path, 4, 4)
+    (tmp_path / "test_l.idx").write_bytes(b"\x00\x00\x08\x01")
+    out = tmp_path / "demo"
+    code = main(["toy-demo", "--config", write_cfg(tmp_path), "--out", str(out), *task])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 3
+    for line, method in zip(err, ("standard", "fgsm_at", "slat")):
+        assert line.startswith(f"train.method={method}: input error: ")
+    nulls = dict.fromkeys(("clean_acc", "robust_acc", "boundary_ratio", "co_step"))
+    assert json.loads((out / "summary.json").read_text()) == {
+        "standard": nulls, "fgsm_at": nulls, "slat": nulls}
 
 
 def test_toy_demo(tmp_path):
