@@ -237,15 +237,6 @@ def _fwd_loss_xent(values, params):
     return np.asarray(loss), {"p": softmax(z)}
 
 
-# scaffolding ops: a loss built from them weights another node's entries
-
-def _fwd_mul(values, params):
-    a, b = values
-    if a.shape != b.shape:
-        raise ShapeMismatch("mul", a.shape, b.shape)
-    return a * b, None
-
-
 def _fwd_sum_all(values, params):
     return np.asarray(values[0].sum()), None
 
@@ -259,7 +250,6 @@ _FORWARD = {
     "flatten": _fwd_flatten,
     "add": _fwd_add,
     "loss_softmax_xent": _fwd_loss_xent,
-    "mul": _fwd_mul,
     "sum_all": _fwd_sum_all,
 }
 
@@ -350,11 +340,6 @@ def _vjp_loss_xent(tape, node, g):
     return [gz * g]
 
 
-def _vjp_mul(tape, node, g):
-    a, b = (tape.nodes[i].value for i in node.inputs)
-    return [g * b, g * a]
-
-
 def _vjp_sum_all(tape, node, g):
     x = tape.nodes[node.inputs[0]].value
     return [np.broadcast_to(g, x.shape)]
@@ -369,38 +354,42 @@ _NUMERIC_VJPS = {
     "flatten": _vjp_flatten,
     "add": _vjp_add,
     "loss_softmax_xent": _vjp_loss_xent,
-    "mul": _vjp_mul,
     "sum_all": _vjp_sum_all,
 }
 
 
-def backward(tape, loss, *, skip=()):
-    """One reverse sweep from a scalar loss node.
+def backward(tape, node, *, grad=None, skip=()):
+    """One reverse sweep from `node`, seeded with `grad` = d(objective)/d(node).
 
-    Fills tape.grads (node idx -> ndarray) with the gradients of leaf and
-    site nodes and returns it; every other adjoint is dropped once it has
-    been passed to its node's inputs. The dense and conv2d rules compute no
+    With no `grad`, `node` must be a scalar loss and the seed is 1. Fills
+    tape.grads (node idx -> ndarray) with the gradients of leaf and site
+    nodes and returns it; every other adjoint is dropped once it has been
+    passed to its node's inputs. The dense and conv2d rules compute no
     gradient for a node idx in `skip`, so nothing flows into or through it;
     every other gradient gets the same contributions in the same order as a
     full sweep.
     """
-    if loss.value.shape != ():
-        raise NonScalarLoss(f"loss has shape {loss.value.shape}")
+    if grad is None:
+        if node.value.shape != ():
+            raise NonScalarLoss(f"loss has shape {node.value.shape}")
+        grad = np.ones(())
+    elif np.shape(grad) != node.value.shape:
+        raise ShapeMismatch("backward", node.value.shape, np.shape(grad))
     _pass_counts["backward"] += 1
     tape.skip = skip
 
-    adj = {loss.idx: np.ones(())}
+    adj = {node.idx: _as_f64(grad)}
     sites = set(tape.sites.values())
 
-    for i in range(loss.idx, -1, -1):
+    for i in range(node.idx, -1, -1):
         if i not in adj:
             continue
-        node = tape.nodes[i]
-        if node.op == "leaf":
+        cur = tape.nodes[i]
+        if cur.op == "leaf":
             continue
         # every contribution to adj[i] came from a later node, so it is whole
         g = adj[i] if i in sites else adj.pop(i)
-        for inp, gi in zip(node.inputs, _NUMERIC_VJPS[node.op](tape, node, g)):
+        for inp, gi in zip(cur.inputs, _NUMERIC_VJPS[cur.op](tape, cur, g)):
             if gi is None:
                 continue
             adj[inp] = adj[inp] + gi if inp in adj else gi
@@ -412,14 +401,17 @@ def backward(tape, loss, *, skip=()):
 def grad_check(builder, point, h=1e-5):
     """Max relative error between tape gradients and central differences.
 
-    `builder(tape, x_node) -> loss_node` must describe a graph that is smooth
-    at `point` (or whose kinks are further than ~10h away).
+    `builder(tape, x_node) -> node` must describe a graph that is smooth at
+    `point` (or whose kinks are further than ~10h away). The objective is
+    the node's entries weighted 1, 2, 3, ... in flat order (a scalar node is
+    its own objective).
     """
     point = _as_f64(point)
     tape = Tape()
     x = tape.leaf(point)
-    loss = builder(tape, x)
-    backward(tape, loss)
+    out = builder(tape, x)
+    w = np.arange(1.0, 1.0 + out.value.size).reshape(out.value.shape)
+    backward(tape, out, grad=w)
     analytic = tape.grads[x.idx]
 
     fd = np.zeros_like(point)
@@ -429,7 +421,7 @@ def grad_check(builder, point, h=1e-5):
             bumped = flat.copy()
             bumped[i] += sgn * h
             t2 = Tape()
-            loss2 = builder(t2, t2.leaf(bumped.reshape(point.shape)))
-            fd.reshape(-1)[i] += sgn * loss2.value / (2.0 * h)
+            out2 = builder(t2, t2.leaf(bumped.reshape(point.shape)))
+            fd.reshape(-1)[i] += sgn * (out2.value * w).sum() / (2.0 * h)
     err = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
     return float(err.max())

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class ToySpec:
 class LabeledDataset:
     xs: np.ndarray                 # [N, ...], float64
     ys: np.ndarray                 # [N], int64
-    meta: dict = field(default_factory=dict)
+    input_scale: tuple | None = None   # (lo, hi) clamp range of the inputs
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
@@ -63,12 +63,8 @@ class LabeledDataset:
     def __len__(self):
         return len(self.xs)
 
-    @property
-    def input_scale(self):
-        return self.meta.get("input_scale")
-
     def subset(self, idx):
-        return LabeledDataset(self.xs[idx], self.ys[idx], dict(self.meta))
+        return LabeledDataset(self.xs[idx], self.ys[idx], self.input_scale)
 
 
 def gen_toy(spec: ToySpec):
@@ -81,7 +77,7 @@ def gen_toy(spec: ToySpec):
     xs = np.concatenate([pos, neg])
     ys = np.concatenate([np.ones(spec.n_per_class, dtype=np.int64),
                          np.zeros(spec.n_per_class, dtype=np.int64)])
-    return LabeledDataset(xs, ys, {"name": "toy", "input_scale": None})
+    return LabeledDataset(xs, ys)
 
 
 def _read_idx(path, want_magic, want_rank):
@@ -113,8 +109,7 @@ def load_idx(images_path, labels_path):
     if len(labels) == 0:
         raise EmptyDataset(f"{images_path}, {labels_path}: no examples")
     xs = images.astype(np.float64)[:, None, :, :] / 255.0
-    return LabeledDataset(xs, labels.astype(np.int64),
-                          {"name": "idx", "input_scale": (0.0, 1.0)})
+    return LabeledDataset(xs, labels.astype(np.int64), input_scale=(0.0, 1.0))
 
 
 def write_idx_images(images_u8, path):

@@ -106,34 +106,32 @@ def linearity_probes(model, x, y, epsilon, seed=0, clamp=None):
 
 def linear_approx_error(model, x, y, site, eps_vec):
     """|L(h+eps) - L(h) - <grad_h L, eps>| via two forwards and one backward."""
-    loss, tape = loss_grads(model, x, y, wrt="inputs")
-    g = tape.grads[tape.sites[site]]
     eps_vec = np.asarray(eps_vec, dtype=np.float64)
+    # the injected forward comes first: it raises UnknownSite for a bad site
     logits_p, _, _ = forward_with_latents(model, x, {site: eps_vec})
     loss_p = per_example_xent(logits_p.value, y).sum()
+    loss, tape = loss_grads(model, x, y, wrt="inputs")
+    g = tape.grads[tape.sites[site]]
     return float(abs(loss_p - loss.value - (g * eps_vec).sum()))
 
 
 def accumulated_linearization_error(model, x, y, eta):
     """Per-example gap between injected logits and the first-order prediction.
 
-    The linear term sums J_k(x) delta_k across sites, with each Jacobian
-    realized exactly by one backward sweep per logit component.
+    The linear term sums J_k(x) delta_k across the sites in eta, with each
+    Jacobian row realized exactly by one backward sweep seeded at a logit.
     """
     x = np.asarray(x, dtype=np.float64)
     deltas = latent_deltas(model, x, y, site_steps(eta, model.K))
 
     logits, _, tape = forward_with_latents(model, x)
-    n_classes = logits.value.shape[1]
     jd = np.zeros_like(logits.value)
-    for c in range(n_classes):
-        e_c = np.zeros((n_classes, 1))
-        e_c[c, 0] = 1.0
-        col = tape.record("dense", [logits, e_c, np.zeros(1)])
-        backward(tape, tape.record("sum_all", [col]))
-        for k in model.K:
-            g = tape.grads[tape.sites[k]]
-            jd[:, c] += (g * deltas[k]).reshape(len(x), -1).sum(axis=1)
+    for c in range(jd.shape[1]):
+        e = np.zeros_like(logits.value)
+        e[:, c] = 1.0
+        backward(tape, logits, grad=e)
+        for k, d in deltas.items():
+            jd[:, c] += (tape.grads[tape.sites[k]] * d).reshape(len(x), -1).sum(axis=1)
 
     logits_inj, _, _ = forward_with_latents(model, x, deltas)
     gap = logits_inj.value - (logits.value + jd)
@@ -218,25 +216,20 @@ def boundary_nonrobust_ratio(model, xlim=None, ylim=None, n=401, cap=1e6):
     if not np.all(np.isfinite(m)):
         raise DegenerateBoundary("non-finite logit difference on probe grid")
 
-    crossings = []
+    # the crossings in scan order: vertical scans (fixed x, vary y) by (i, j),
+    # horizontal scans (fixed y, vary x) by (j, i), then exact zeros
     sgn = np.sign(m)
-    for i in range(n):          # vertical scans: fixed x, vary y
-        flips = np.nonzero((sgn[i, :-1] * sgn[i, 1:]) < 0)[0]
-        for j in flips:
-            t = m[i, j] / (m[i, j] - m[i, j + 1])
-            crossings.append((gx[i], gy[j] + t * (gy[j + 1] - gy[j])))
-    for j in range(n):          # horizontal scans: fixed y, vary x
-        flips = np.nonzero((sgn[:-1, j] * sgn[1:, j]) < 0)[0]
-        for i in flips:
-            t = m[i, j] / (m[i, j] - m[i + 1, j])
-            crossings.append((gx[i] + t * (gx[i + 1] - gx[i]), gy[j]))
-    exact = np.argwhere(m == 0.0)
-    for i, j in exact:
-        crossings.append((gx[i], gy[j]))
-    if not crossings:
+    i, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    t = m[i, j] / (m[i, j] - m[i, j + 1])
+    vert = np.stack([gx[i], gy[j] + t * (gy[j + 1] - gy[j])], axis=1)
+    j, i = np.nonzero((sgn[:-1] * sgn[1:] < 0).T)
+    t = m[i, j] / (m[i, j] - m[i + 1, j])
+    horiz = np.stack([gx[i] + t * (gx[i + 1] - gx[i]), gy[j]], axis=1)
+    i, j = np.nonzero(m == 0.0)
+    pts = np.concatenate([vert, horiz, np.stack([gx[i], gy[j]], axis=1)])
+    if not len(pts):
         raise DegenerateBoundary("no logit-difference sign change on probe grid")
 
-    pts = np.asarray(crossings)
     pts = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(pts, full_matrices=False)
     dx, dy = vt[0]              # dominant boundary direction

@@ -255,8 +255,7 @@ def fast_ga_grads(model, x, y, spec, clamp=None):
     # d/dlogits of sum_j c_j l_j, with c = (+weight, -weight)
     seed = (np.concatenate([weight, -weight])[:, None]
             * _minus_onehot(softmax(logits.value), np.concatenate([y, y])))
-    weighted = tape.record("sum_all", [tape.record("mul", [logits, tape.leaf(seed)])])
-    backward(tape, weighted, skip=(tape.stem,))
+    backward(tape, logits, grad=seed, skip=(tape.stem,))
     for name, node in tape.params.items():
         grads[name] = grads[name] + tape.grads[node.idx]
     return total, grads

@@ -71,6 +71,30 @@ def test_nonscalar_loss_rejected():
         backward(t, x)
 
 
+def test_seeded_sweep_gives_the_vector_jacobian_product():
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(4, 3))
+    g = rng.normal(size=(2, 3))
+    t = Tape()
+    x = t.leaf(rng.normal(size=(2, 4)))
+    out = t.record("dense", [x, w, np.zeros(3)])
+    backward(t, out, grad=g)
+    assert np.array_equal(t.grads[x.idx], g @ w.T)
+
+
+def test_seed_must_match_the_node_and_be_passed_by_keyword():
+    t = Tape()
+    x = t.leaf(np.ones((2, 3)))
+    out = t.record("relu", [x])
+    with pytest.raises(ShapeMismatch) as err:
+        backward(t, out, grad=np.ones((3, 2)))
+    assert err.value.op == "backward"
+    with pytest.raises(ShapeMismatch):
+        backward(t, t.record("sum_all", [out]), grad=np.ones(1))
+    with pytest.raises(TypeError):
+        backward(t, out, np.ones((2, 3)))
+
+
 def test_shape_mismatch_reports_op():
     t = Tape()
     with pytest.raises(ShapeMismatch) as err:
@@ -101,36 +125,39 @@ def op_graph_builders():
     kw = rng.normal(size=(2, 1, 3, 3)) * 0.7
     dw = rng.normal(size=(8, 3)) * 0.7
 
-    def scalarize(t, node):
-        return t.record("sum_all", [t.record("mul", [node, t.leaf(
-            np.arange(1.0, 1.0 + node.value.size).reshape(node.value.shape))])])
-
     cases = []
-    cases.append(("dense", lambda t, x: scalarize(t, t.record(
-        "dense", [x, w1, np.arange(3.0)])), lambda r: r.normal(size=(2, 4))))
-    cases.append(("conv2d", lambda t, x: scalarize(t, t.record(
-        "conv2d", [x, kw, np.array([0.1, -0.2])])),
+    cases.append(("dense", lambda t, x: t.record(
+        "dense", [x, w1, np.arange(3.0)]), lambda r: r.normal(size=(2, 4))))
+    cases.append(("conv2d", lambda t, x: t.record(
+        "conv2d", [x, kw, np.array([0.1, -0.2])]),
         lambda r: r.normal(size=(2, 1, 4, 4))))
-    cases.append(("relu", lambda t, x: scalarize(t, t.record("relu", [x])),
+    cases.append(("relu", lambda t, x: t.record("relu", [x]),
                   lambda r: _relu_safe(r, (3, 5))))
-    cases.append(("softplus", lambda t, x: scalarize(t, t.record("softplus", [x])),
+    cases.append(("softplus", lambda t, x: t.record("softplus", [x]),
                   lambda r: r.normal(size=(3, 5))))
 
     def pool_point(r):
         # distinct entries keep the argmax away from ties
         x = r.permutation(32).astype(float).reshape(1, 2, 4, 4)
         return x + r.uniform(0.1, 0.4, size=x.shape)
-    cases.append(("maxpool2x2", lambda t, x: scalarize(
-        t, t.record("maxpool2x2", [x])), pool_point))
-    cases.append(("flatten", lambda t, x: scalarize(t, t.record(
-        "dense", [t.record("flatten", [x]), dw, np.zeros(3)])),
+    cases.append(("maxpool2x2", lambda t, x: t.record("maxpool2x2", [x]),
+                  pool_point))
+    cases.append(("flatten", lambda t, x: t.record(
+        "dense", [t.record("flatten", [x]), dw, np.zeros(3)]),
         lambda r: r.normal(size=(2, 2, 2, 2))))
-    cases.append(("add", lambda t, x: scalarize(t, t.record(
-        "add", [x, t.leaf(np.full((3, 2), 0.5))])), lambda r: r.normal(size=(3, 2))))
+    cases.append(("add", lambda t, x: t.record(
+        "add", [x, t.leaf(np.full((3, 2), 0.5))]), lambda r: r.normal(size=(3, 2))))
     cases.append(("loss_softmax_xent", lambda t, x: t.record(
         "loss_softmax_xent", [x], labels=np.array([0, 2, 1]), reduction="mean"),
         lambda r: r.normal(size=(3, 3))))
+    cases.append(("sum_all", lambda t, x: t.record("sum_all", [x]),
+                  lambda r: r.normal(size=(3, 4))))
     return cases
+
+
+def test_every_op_kind_has_a_vjp_and_an_oracle_case():
+    assert set(autodiff._FORWARD) == set(autodiff._NUMERIC_VJPS)
+    assert {c[0] for c in op_graph_builders()} == set(autodiff._FORWARD)
 
 
 @pytest.mark.parametrize("name,builder,point", op_graph_builders(),
@@ -206,7 +233,7 @@ def test_maxpool_ties_send_the_gradient_to_the_first_maximum():
     pooled = t.record("maxpool2x2", [h])
     assert np.array_equal(pooled.value, [[[[0.0, 3.0, 5.0, 4.0]]]])
     up = np.array([[[[10.0, 20.0, 30.0, -40.0]]]])
-    backward(t, t.record("sum_all", [t.record("mul", [pooled, t.leaf(up)])]))
+    backward(t, pooled, grad=up)
     assert np.array_equal(t.grads[h.idx],
                           [[[[10.0, 0.0, 0.0, 20.0, 0.0, 0.0, -40.0, 0.0],
                              [0.0, 0.0, 0.0, 0.0, 30.0, 0.0, 0.0, 0.0]]]])
@@ -258,7 +285,7 @@ def test_conv2d_output_and_input_gradient_match_sliding_window_columns(c, h, f, 
     t = Tape()
     xn = t.leaf(x)
     out = t.record("conv2d", [xn, k, b])
-    backward(t, t.record("sum_all", [t.record("mul", [out, t.leaf(g)])]))
+    backward(t, out, grad=g)
     # relative to the largest entry: the references sum in another order,
     # so an entry near zero can differ from them by more than its own 1e-12
     def assert_close(got, want):

@@ -73,6 +73,7 @@ def test_idx_round_trip_bit_exact(tmp_path):
     assert np.array_equal((ds.xs[:, 0] * 255).round().astype(np.uint8), imgs)
     assert np.array_equal(ds.ys, labels)
     assert ds.input_scale == (0.0, 1.0)
+    assert ds.subset([2, 0]).input_scale == (0.0, 1.0)
 
 
 def test_idx_pixel_scaling(tmp_path):

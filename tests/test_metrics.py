@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slatlab.attacks import AttackSpec, latent_deltas
-from slatlab.autodiff import per_example_xent
+from slatlab.autodiff import UnknownSite, per_example_xent
 from slatlab.data import LabeledDataset, ToySpec, gen_toy
 from slatlab.metrics import (DegenerateBoundary, LandscapeGrid, MetricRecord,
                              accuracy, accumulated_linearization_error,
@@ -134,6 +134,24 @@ def test_accumulated_linearization_error_prop1_scaling():
     keep = e2 > 1e-11
     ratios = e1[keep] / e2[keep]
     assert 3.5 <= np.median(ratios) <= 4.5
+
+
+def test_accumulated_linearization_error_takes_any_set_of_sites():
+    m = build_toy_mlp(8, "softplus", seed=8)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, 2))
+    y = rng.integers(0, 2, size=6)
+    assert np.array_equal(accumulated_linearization_error(m, x, y, eta={0: 0.02}),
+                          accumulated_linearization_error(m, x, y,
+                                                          eta={0: 0.02, 1: 0.0}))
+    errs = accumulated_linearization_error(m, x, y, eta={1: 0.02})
+    assert errs.shape == (6,) and np.isfinite(errs).all()
+
+
+def test_linear_approx_error_rejects_an_unknown_site():
+    m = build_toy_mlp(8, "softplus", seed=8)
+    with pytest.raises(UnknownSite):
+        linear_approx_error(m, np.zeros((1, 2)), np.array([0]), 5, np.zeros((1, 2)))
 
 
 def test_loss_landscape_origin_bit_exact():
