@@ -126,5 +126,7 @@ def deltas_from_tape(tape, eta):
 
 def latent_deltas(model, x, y, eta):
     """Latent perturbations at the clean point for the sites in eta, one sweep."""
+    if not eta:
+        return {}
     _, tape = loss_grads(model, x, y, wrt="inputs")
     return deltas_from_tape(tape, eta)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -53,6 +52,8 @@ def _parse_eta(text):
     out = {}
     for part in text.split(","):
         k, v = part.split(":")
+        if int(k) in out:
+            raise ValueError(f"site {int(k)} given twice")
         out[int(k)] = parse_number(v)
     return out
 
@@ -272,6 +273,8 @@ def _validate(cfg):
         if cfg.data.augment_pad:
             problems.append("data.augment_pad must be 0 on the toy task "
                             "(it pads images)")
+        if cfg.data.limit:
+            problems.append("data.limit must be 0 on the toy task (it cuts IDX sets)")
     if cfg.data.augment_pad < 0 or cfg.data.limit < 0:
         problems.append("data.augment_pad and data.limit must be >= 0")
     if cfg.data.kind == "idx":
@@ -279,8 +282,6 @@ def _validate(cfg):
             p = getattr(cfg.data, key)
             if not p:
                 problems.append(f"data.{key}: required for idx datasets")
-            elif not os.path.exists(p):
-                problems.append(f"data.{key}: no such file {p!r}")
     problems += cfg.train.problems() + cfg.eval.problems()
     if not problems and cfg.train.method == "slat_fast_ga" and (
             why := fast_ga_problem(build_model(cfg))):

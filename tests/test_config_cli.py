@@ -88,13 +88,13 @@ ONE_VALUE_PER_KEY = {
     "output.save_landscape": ("OFF", False),
 }
 FIELD_NAMES = {"eval.steps": "attack_steps", "eval.restarts": "attack_restarts"}
-# An image task. parse_config checks only that the IDX files exist, so this
-# file stands in for all four.
+# An image task. parse_config checks only that the IDX paths are set and
+# opens none of them, so this file stands in for all four.
 IDX_TASK = {"data.kind": "idx", **{f"data.{split}_{part}": __file__
                                    for split in ("train", "test")
                                    for part in ("images", "labels")}}
 # Keys whose ONE_VALUE_PER_KEY value is valid only with other settings.
-CONTEXT = {"data.augment_pad": IDX_TASK}
+CONTEXT = {"data.augment_pad": IDX_TASK, "data.limit": IDX_TASK}
 
 
 def test_schema_keys_and_their_fields():
@@ -483,7 +483,7 @@ def test_eval_reports_a_bad_metrics_csv_in_one_line(tmp_path, capsys, edit, mess
     "--train.weight_decay=nan", "--train.weight_decay=inf",
     "--train.weight_decay=-1e-4", "--train.lambda_ga=-1", "--train.lambda_ga=nan",
     "--train.checkpoint_every=-2", "--eval.co_window=-5", "--eval.alpha=-0.1",
-    "--eval.alpha=nan", "--run.seed=-1", "--eval.seed=-1"])
+    "--eval.alpha=nan", "--run.seed=-1", "--eval.seed=-1", "--data.limit=10"])
 def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
     out = tmp_path / "out"
     code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), override])
@@ -491,6 +491,23 @@ def test_cli_rejects_a_bad_value_in_one_line(tmp_path, capsys, override):
     assert code == 1 and len(err) == 1 and err[0].startswith("config error:")
     assert override[2:override.index("=")] in err[0]
     assert not out.exists()
+
+
+def test_a_site_given_twice_in_eta_is_a_config_error_on_the_flag_and_in_a_sweep(
+        tmp_path, capsys):
+    value = "0:0.1,0:0.2,1:0.3"
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 f"--model.eta={value}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: model.eta: bad value {value!r} (site 0 given twice)"]
+    assert not out.exists()
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--train.epochs=1", "--param", "model.eta",
+                 "--values", f"0:0.1,1:0.1;{value}"]) == 1
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [["0:0.1,1:0.1", "0"], [value, "1"]]
 
 
 def test_a_negative_seed_is_a_config_error_on_the_flag_and_in_a_sweep(
@@ -637,7 +654,10 @@ def test_cli_reports_an_empty_idx_set_in_one_line(tmp_path, capsys, verb,
 
 
 def _spoil_the_training_pair(tmp_path, task, spoil):
-    """task's overrides with its training pair corrupt or empty."""
+    """task's overrides with its training pair corrupt, empty or absent."""
+    if spoil == "absent":
+        return [*task, *(f"--data.train_{part}={tmp_path / 'absent' / part}"
+                         for part in ("images", "labels"))]
     if spoil == "corrupt":
         (tmp_path / "bad.idx").write_bytes(b"\x00\x00\x08\x01")
         return [*task, f"--data.train_labels={tmp_path / 'bad.idx'}"]
@@ -645,7 +665,7 @@ def _spoil_the_training_pair(tmp_path, task, spoil):
     return [*task, *_idx_task(tmp_path / "empty", 0, 1)[2:4]]
 
 
-@pytest.mark.parametrize("spoil", ["corrupt", "empty"])
+@pytest.mark.parametrize("spoil", ["corrupt", "empty", "absent"])
 def test_eval_verbs_read_only_the_test_pair(tmp_path, capsys, monkeypatch, spoil):
     ckpt = tmp_path / "init.ckpt"
     save_checkpoint(build_small_cnn((1, 8, 8), 10, seed=3), ckpt)
@@ -677,22 +697,47 @@ def test_eval_verbs_read_only_the_test_pair(tmp_path, capsys, monkeypatch, spoil
     assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
                  *spoiled]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error:")
+    assert len(err) == 1 and err[0].startswith(
+        "I/O error:" if spoil == "absent" else "input error:")
     assert not out.exists()
 
 
-def test_sweep_keeps_its_rows_past_a_bad_input_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("verb,key", [
+    ("train", "train_images"), ("train", "train_labels"), ("train", "test_images"),
+    ("train", "test_labels"), ("eval", "test_images"), ("eval", "test_labels"),
+    ("landscape", "test_images"), ("landscape", "test_labels")])
+def test_a_missing_idx_file_is_one_io_error_line(tmp_path, capsys, verb, key):
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(build_small_cnn((1, 8, 8), 10), ckpt)
+    missing, out = tmp_path / "missing.idx", tmp_path / "out"
+    code = main([verb, "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--ckpt", str(ckpt), *_idx_task(tmp_path, 4, 4),
+                 f"--data.{key}={missing}"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("I/O error:")
+    assert str(missing) in err[0]
+    assert not out.exists()
+
+
+def test_sweep_keeps_its_rows_past_a_bad_input_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     task = _idx_task(tmp_path, 4, 4)
     os.replace(tmp_path / "train_l.idx", tmp_path / "good.idx")
     (tmp_path / "bad.idx").write_bytes(b"\x00\x00\x08\x01")
     code = main(["sweep", "--config", write_cfg(tmp_path), "--out", "sweep_out",
-                 *task, "--param", "data.train_labels", "--values", "good.idx,bad.idx"])
+                 *task, "--param", "data.train_labels",
+                 "--values", "good.idx,bad.idx,absent.idx"])
     assert code == 1
     lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].startswith("good.idx,0,")
     assert lines[2].startswith("bad.idx,1,")
+    assert lines[3].startswith("absent.idx,1,")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("data.train_labels=bad.idx: input error:")
+    assert err[1].startswith("data.train_labels=absent.idx: I/O error:")
+    assert "absent.idx" in err[1][len("data.train_labels=absent.idx:"):]
 
 
 def _no_constants(name):

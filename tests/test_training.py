@@ -133,6 +133,17 @@ def test_step_pass_counts(method):
     assert pass_counts() == {"forward": forwards, "backward": backwards}
 
 
+def test_fgsm_rs_latent_makes_no_latent_sweep_without_a_latent_site():
+    """With site 0 alone there is no latent step: R+FGSM's sweep and the update."""
+    x, y = toy_batch(seed=3)
+    m = build_toy_mlp(8, "softplus", seed=7, sites=(0,))
+    spec = TrainSpec(method="fgsm_rs_latent", epsilon=0.1)
+    state = init_optimizer(m)
+    reset_pass_counts()
+    training_mod.fgsm_rs_latent_step(m, x, y, spec, state, lr=0.01)
+    assert pass_counts() == {"forward": 2, "backward": 2}
+
+
 # (forwards, backwards) per checkpoint with S PGD steps and R restarts: the
 # attack's S*R sweeps and R restart-selection forwards, then one clean
 # accuracy forward, one adversarial forward, and the linearity probes' three
