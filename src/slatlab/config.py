@@ -51,10 +51,17 @@ def _parse_eta(text):
         return parse_number(text)
     out = {}
     for part in text.split(","):
-        k, v = part.split(":")
-        if int(k) in out:
-            raise ValueError(f"site {int(k)} given twice")
-        out[int(k)] = parse_number(v)
+        site, sep, step = part.partition(":")
+        try:
+            site = int(site) if sep and ":" not in step else None
+        except ValueError:
+            site = None
+        if site is None:
+            raise ValueError("each pair is site:step with an integer site; "
+                             f"got {part.strip()!r}")
+        if site in out:
+            raise ValueError(f"site {site} given twice")
+        out[site] = parse_number(step)
     return out
 
 

@@ -510,6 +510,18 @@ def test_a_site_given_twice_in_eta_is_a_config_error_on_the_flag_and_in_a_sweep(
     assert [row[:2] for row in rows[1:]] == [["0:0.1,1:0.1", "0"], [value, "1"]]
 
 
+@pytest.mark.parametrize("value, pair", [
+    ("0:0.1,1", "1"), ("0:0.1:2,1:0.1", "0:0.1:2"), ("a:0.1,1:0.1", "a:0.1")])
+def test_a_malformed_eta_pair_is_named_in_one_config_error(tmp_path, capsys, value, pair):
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 f"--model.eta={value}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: model.eta: bad value {value!r} "
+        f"(each pair is site:step with an integer site; got {pair!r})"]
+    assert not out.exists()
+
+
 def test_a_negative_seed_is_a_config_error_on_the_flag_and_in_a_sweep(
         tmp_path, capsys):
     out = tmp_path / "out"
