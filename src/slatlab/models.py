@@ -240,7 +240,14 @@ def small_cnn_shape_problem(in_shape):
 
 def build_small_cnn(in_shape=(1, 28, 28), classes=10, activation="relu",
                     seed=0, sites=None):
-    """conv16-pool / conv32-pool / dense; sites at input and after each block.
+    """conv16-pool-act / conv32-pool-act / dense; sites at input and after
+    each block.
+
+    Each block pools before its activation, so the activation and its
+    backward run on quarter-size arrays. A 2x2 max-pool commutes with a
+    non-decreasing activation, so the logits and every gradient equal those
+    of conv-act-pool bit for bit (for softplus, barring two window entries
+    that differ but round to one softplus value).
 
     `sites` selects a subset of {0: input, 1: after block 1, 2: after block 2}
     (None: all), which is how the deeper-injection ablation variants are built.
@@ -253,11 +260,11 @@ def build_small_cnn(in_shape=(1, 28, 28), classes=10, activation="relu",
     flat = 32 * (h // 4) * (w // 4)
     layers = [
         Layer("conv2d", w=_glorot(rng, c * 9, 16 * 9, (16, c, 3, 3)), b=np.zeros(16)),
-        Layer(activation),
         Layer("maxpool2x2"),
+        Layer(activation),
         Layer("conv2d", w=_glorot(rng, 16 * 9, 32 * 9, (32, 16, 3, 3)), b=np.zeros(32)),
-        Layer(activation),
         Layer("maxpool2x2"),
+        Layer(activation),
         Layer("flatten"),
         Layer("dense", w=_glorot(rng, flat, classes, (flat, classes)),
               b=np.zeros(classes)),

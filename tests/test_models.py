@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from slatlab.autodiff import (ShapeMismatch, Tape, UnknownSite, backward,
                               pass_counts)
-from slatlab.models import (FORWARD_ROWS, CheckpointError, Layer, Model, ShapeTooSmall,
-                            build_linear, build_small_cnn, build_toy_mlp,
+from slatlab.models import (FORWARD_ROWS, ZOO_SITES, CheckpointError, Layer, Model,
+                            ShapeTooSmall, build_linear, build_small_cnn, build_toy_mlp,
                             forward_logits, forward_with_latents, load_checkpoint,
                             load_into, loss_grads, save_checkpoint)
 
@@ -239,6 +239,44 @@ def test_a_swept_tape_retains_only_what_its_backward_reads(case):
             assert np.array_equal(g, tapes["all"].grads[idx]), (wrt, idx)
 
 
+def _conv_act_pool(model):
+    """The small CNN's own layers in the conv -> act -> pool block order."""
+    conv1, pool1, act1, conv2, pool2, act2, flat, dense = model.layers
+    assert (pool1.kind, pool2.kind) == ("maxpool2x2", "maxpool2x2")
+    return Model([conv1, act1, pool1, conv2, act2, pool2, flat, dense],
+                 model.site_positions, model.input_shape, model.n_classes)
+
+
+def _blank_batch(seed):
+    """Images with blank rows, a blank corner and one blank image, so that
+    many pooling windows tie at 0 before and after the activation."""
+    x = np.random.default_rng(seed).uniform(-0.5, 1.0, size=(6, 1, 12, 12))
+    x[:, :, 2:5] = 0.0
+    x[:, :, 8:, 6:] = 0.0
+    x[3] = 0.0
+    return x, np.arange(len(x)) % 4
+
+
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pooling_before_the_activation_is_bit_identical(activation, seed):
+    model = build_small_cnn((1, 12, 12), 4, activation, seed=seed)
+    old = _conv_act_pool(model)
+    x, y = _blank_batch(seed)
+    assert forward_logits(model, x).tobytes() == forward_logits(old, x).tobytes()
+    (loss, tape), (old_loss, old_tape) = (loss_grads(m, x, y) for m in (model, old))
+    assert loss.value.tobytes() == old_loss.value.tobytes()
+    named = {"input": (tape.input.idx, old_tape.input.idx)}
+    named.update({f"site{k}": (tape.sites[k], old_tape.sites[k]) for k in model.K})
+    named.update({n: (tape.params[n].idx, old_tape.params[n].idx)
+                  for n in model.parameters()})
+    assert len(named) == 1 + 3 + 6
+    for name, (idx, old_idx) in named.items():
+        assert tape.grads[idx].tobytes() == old_tape.grads[old_idx].tobytes(), name
+    acts = [n.value.shape for n in tape.nodes if n.op == activation]
+    assert acts == [(6, 16, 6, 6), (6, 32, 3, 3)]
+
+
 def test_loss_grads_rejects_unknown_wrt():
     with pytest.raises(ValueError, match="wrt"):
         loss_grads(build_toy_mlp(4), np.zeros((1, 2)), [0], wrt="sites")
@@ -254,6 +292,19 @@ def test_checkpoint_round_trip(tmp_path):
     x = rng.normal(size=(2, 1, 8, 8))
     a, b = forward_logits(m, x), forward_logits(m2, x)
     assert np.abs(a - b).max() <= 1e-15
+
+
+def test_small_cnn_keeps_its_parameter_names_sites_and_checkpoints(tmp_path):
+    model = build_small_cnn((1, 8, 8), 3, seed=99)
+    assert list(model.parameters()) == ["layer0.w", "layer0.b", "layer3.w",
+                                        "layer3.b", "layer7.w", "layer7.b"]
+    assert ZOO_SITES["small_cnn"] == {0: 0, 1: 3, 2: 6}
+    old = _conv_act_pool(build_small_cnn((1, 8, 8), 3, seed=7))
+    path = tmp_path / "conv_act_pool.ckpt"
+    save_checkpoint(old, path)
+    load_into(model, load_checkpoint(path))
+    x = np.random.default_rng(4).normal(size=(3, 1, 8, 8))
+    assert forward_logits(model, x).tobytes() == forward_logits(old, x).tobytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):
