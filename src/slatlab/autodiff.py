@@ -100,10 +100,6 @@ class Node:
         self.meta = meta              # forward intermediates the backward reads
                                       # (None when it recomputes or needs none)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"<Node {self.idx} {self.op} {self.value.shape}>"
 
@@ -398,7 +394,10 @@ def backward(tape, node, *, grad=None, skip=()):
     return adj
 
 
-def grad_check(builder, point, h=1e-5):
+GRAD_CHECK_STEP = 1e-5    # h, grad_check's central-difference step
+
+
+def grad_check(builder, point):
     """Max relative error between tape gradients and central differences.
 
     `builder(tape, x_node) -> node` must describe a graph that is smooth at
@@ -414,6 +413,7 @@ def grad_check(builder, point, h=1e-5):
     backward(tape, out, grad=w)
     analytic = tape.grads[x.idx]
 
+    h = GRAD_CHECK_STEP
     fd = np.zeros_like(point)
     flat = point.reshape(-1)
     for i in range(flat.size):

@@ -4,7 +4,7 @@ Every run writes metrics.csv, final.ckpt, landscape_<method>.csv and
 summary.json into its output directory; exit codes are 0 (success, or --help),
 1 (usage or config error, corrupt, empty or unreadable input file, data the
 model cannot take, or a toy run whose decision boundary is degenerate),
-2 (aborted on a non-finite gradient).
+2 (aborted on a non-finite gradient, printed as one `aborted: <reason>` line).
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def _run(cfg, ckpt, eval_only):
     degenerate = None
     if model.input_shape == (2,) and model.n_classes == 2:
         try:
-            summary["boundary_ratio"] = metrics_mod.boundary_nonrobust_ratio(model)
+            summary["boundary_ratio"] = metrics_mod.boundary_nonrobust_ratio(
+                model, *metrics_mod.probe_limits(cfg.data.mu, cfg.data.sigma))
         except metrics_mod.DegenerateBoundary as exc:
             summary["boundary_ratio"] = None
             degenerate = str(exc)
@@ -153,8 +154,9 @@ def _run(cfg, ckpt, eval_only):
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    if degenerate:
-        print(f"degenerate decision boundary: {degenerate}", file=sys.stderr)
+    if aborted or degenerate:   # one stderr line, the abort first
+        print(f"aborted: {aborted}" if aborted
+              else f"degenerate decision boundary: {degenerate}", file=sys.stderr)
     return 2 if aborted else 1 if degenerate else 0
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .attacks import _clamp, _r_fgsm_point, input_grad, latent_deltas, run_attack
 from .autodiff import backward, per_example_xent
-from .data import DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA, rademacher
+from .data import rademacher
 from .models import forward_logits, forward_with_latents, loss_grads, site_steps
 
 
@@ -35,8 +35,7 @@ class MetricRecord:
 @dataclass
 class LandscapeGrid:
     values: np.ndarray      # [n, n]; rows follow the adversarial axis
-    a_values: np.ndarray    # adversarial-direction coefficients
-    b_values: np.ndarray    # Rademacher-direction coefficients
+    coeffs: np.ndarray      # the coefficients of both axes
 
 
 def _n_correct(z, y):
@@ -151,13 +150,13 @@ def loss_landscape(model, x, y, epsilon, n=21, seed=0):
         for j, b in enumerate(coeffs):
             xp = x if (i == 0 and j == 0) else x + a * d + b * r
             values[i, j] = per_example_xent(forward_logits(model, xp), y).mean()
-    return LandscapeGrid(values, coeffs.copy(), coeffs.copy())
+    return LandscapeGrid(values, coeffs)
 
 
 def save_landscape_csv(grid, path):
     with open(path, "w") as fh:
-        fh.write("a\\b," + ",".join(repr(float(b)) for b in grid.b_values) + "\n")
-        for a, row in zip(grid.a_values, grid.values):
+        fh.write("a\\b," + ",".join(repr(float(b)) for b in grid.coeffs) + "\n")
+        for a, row in zip(grid.coeffs, grid.values):
             fh.write(repr(float(a)) + "," +
                      ",".join(repr(float(v)) for v in row) + "\n")
 
@@ -170,49 +169,53 @@ def slice_linear_residual(grid):
     the adversarial direction.
     """
     s = grid.values[:, 0]
-    a = grid.a_values
+    a = grid.coeffs
     coef = np.polyfit(a, s, 1)
     resid = s - np.polyval(coef, a)
     span = s.max() - s.min()
     return float(np.sqrt((resid ** 2).mean()) / max(span, 1e-12))
 
 
-def detect_catastrophic_overfitting(records, window, drop=0.3, clean_tol=0.05):
-    """Earliest step where robust accuracy falls by > `drop` within `window`
-    steps while clean accuracy stays put; None when no such collapse exists."""
+CO_DROP, CO_CLEAN_TOL = 0.3, 0.05
+
+
+def detect_catastrophic_overfitting(records, window):
+    """Earliest step where robust accuracy falls by > CO_DROP within `window`
+    steps while clean accuracy falls by <= CO_CLEAN_TOL; None when no such
+    collapse exists."""
     recs = sorted(records, key=lambda r: r.step)
     for j in range(len(recs)):
         for i in range(j):
             if recs[j].step - recs[i].step > window:
                 continue
-            if (recs[i].pgd_acc - recs[j].pgd_acc > drop
-                    and recs[i].clean_acc - recs[j].clean_acc <= clean_tol):
+            if (recs[i].pgd_acc - recs[j].pgd_acc > CO_DROP
+                    and recs[i].clean_acc - recs[j].clean_acc <= CO_CLEAN_TOL):
                 return recs[j].step
     return None
 
 
-def _default_probe_limits():
-    mu = np.asarray(DEFAULT_TOY_MU)
-    sig = np.asarray(DEFAULT_TOY_SIGMA)
-    lim = 3.0 * np.sqrt(mu ** 2 + sig ** 2)
+PROBE_N, RATIO_CAP = 401, 1e6     # probe grid points per axis; the ratio's cap
+
+
+def probe_limits(mu, sigma):
+    """(xlim, ylim) of the toy probe box: +-3 sqrt(mu^2 + sigma^2) per axis."""
+    lim = 3.0 * np.sqrt(np.asarray(mu) ** 2 + np.asarray(sigma) ** 2)
     return (-lim[0], lim[0]), (-lim[1], lim[1])
 
 
-def boundary_nonrobust_ratio(model, xlim=None, ylim=None, n=401, cap=1e6):
+def boundary_nonrobust_ratio(model, xlim, ylim):
     """Reliance of a 2-d binary classifier on the y (non-robust) feature.
 
-    Probes logit-difference zero crossings on an n x n grid, fits the
-    crossing cloud with total least squares, and returns |normal_y/normal_x|
-    of the fitted boundary, capped at `cap`.
+    Probes logit-difference zero crossings on a PROBE_N x PROBE_N grid over
+    the box xlim x ylim, fits the crossing cloud with total least squares,
+    and returns |normal_y/normal_x| of the fitted boundary, capped at
+    RATIO_CAP.
     """
-    if xlim is None or ylim is None:
-        dx, dy = _default_probe_limits()
-        xlim = xlim or dx
-        ylim = ylim or dy
-    gx = np.linspace(xlim[0], xlim[1], n)
-    gy = np.linspace(ylim[0], ylim[1], n)
+    gx = np.linspace(xlim[0], xlim[1], PROBE_N)
+    gy = np.linspace(ylim[0], ylim[1], PROBE_N)
     pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    m = np.diff(forward_logits(model, pts)).reshape(n, n)   # z1 - z0, [x idx, y idx]
+    # z1 - z0, [x idx, y idx]
+    m = np.diff(forward_logits(model, pts)).reshape(PROBE_N, PROBE_N)
     if not np.all(np.isfinite(m)):
         raise DegenerateBoundary("non-finite logit difference on probe grid")
 
@@ -233,8 +236,8 @@ def boundary_nonrobust_ratio(model, xlim=None, ylim=None, n=401, cap=1e6):
     pts = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(pts, full_matrices=False)
     dx, dy = vt[0]              # dominant boundary direction
-    if abs(dy) * cap <= abs(dx):
-        return float(cap)
+    if abs(dy) * RATIO_CAP <= abs(dx):
+        return RATIO_CAP
     return float(abs(dx) / abs(dy))
 
 

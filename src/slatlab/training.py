@@ -18,10 +18,6 @@ from .autodiff import (UnsupportedOps, _minus_onehot, backward, per_example_xent
 from .data import augment_pad_crop
 from .models import forward_logits, forward_with_latents, loss_grads, site_steps
 
-METHODS = ("standard", "fgsm_at", "fgsm_rs", "pgd_at", "slat",
-           "slat_fast_ga", "fgsm_rs_latent")
-
-
 # slat_fast_ga's penalty gradient is a central difference in the input, which
 # needs a loss smooth in it: no ReLU kink or max-pool switch may fall inside
 # the step. These are the layers it is checked on; config.parse_config reads
@@ -125,16 +121,12 @@ class EvalSettings(_Validated):
         return problems
 
 
-@dataclass
-class OptimizerState:
-    velocity: dict = field(default_factory=dict)   # param name -> ndarray
-
-
 def init_optimizer(model):
-    return OptimizerState({n: np.zeros_like(p) for n, p in model.parameters().items()})
+    """The momentum buffers: {param name: zeros like the parameter}."""
+    return {n: np.zeros_like(p) for n, p in model.parameters().items()}
 
 
-def cyclic_lr(step, total_steps, lr_max, peak_fraction=0.4):
+def cyclic_lr(step, total_steps, lr_max, peak_fraction):
     """0 -> lr_max over the first peak_fraction of steps, back to 0 after."""
     if not 0 < peak_fraction < 1:
         raise ValueError("peak_fraction must lie in (0, 1)")
@@ -144,7 +136,7 @@ def cyclic_lr(step, total_steps, lr_max, peak_fraction=0.4):
     return lr_max * (total_steps - step) / (total_steps - peak)
 
 
-def sgd_update(params, grads, state, lr, momentum, weight_decay):
+def sgd_update(params, grads, velocity, lr, momentum, weight_decay):
     """v <- m*v + (g + wd*p); p <- p - lr*v, in place."""
     for name, p in params.items():
         g = grads[name]
@@ -152,17 +144,17 @@ def sgd_update(params, grads, state, lr, momentum, weight_decay):
             raise NonFiniteGradient(f"non-finite gradient for {name}")
         if weight_decay:
             g = g + weight_decay * p
-        v = state.velocity[name]
+        v = velocity[name]
         v *= momentum
         v += g
         p -= lr * v
 
 
-def _update(model, x_in, y, spec, state, lr, deltas=None):
+def _update(model, x_in, y, spec, velocity, lr, deltas=None):
     """One SGD step on the mean loss at x_in with latent deltas injected."""
     loss, tape = loss_grads(model, x_in, y, deltas, reduction="mean", wrt="params")
     grads = {name: tape.grads[node.idx] for name, node in tape.params.items()}
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
+    sgd_update(model.parameters(), grads, velocity, lr, spec.momentum,
                spec.weight_decay)
     return float(loss.value)
 
@@ -176,29 +168,29 @@ def _slat_inputs(model, x, y, spec, clamp):
     return x_in, deltas, tape.grads[tape.input.idx]
 
 
-def standard_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
-    return _update(model, x, y, spec, state, lr)
+def standard_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
+    return _update(model, x, y, spec, velocity, lr)
 
 
-def fgsm_at_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+def fgsm_at_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
     x_adv = fgsm(model, x, y, spec.epsilon, clamp)
-    return _update(model, x_adv, y, spec, state, lr)
+    return _update(model, x_adv, y, spec, velocity, lr)
 
 
-def fgsm_rs_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+def fgsm_rs_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
     x_adv = r_fgsm(model, x, y, spec.epsilon, clamp=clamp, seed=step_seed)
-    return _update(model, x_adv, y, spec, state, lr)
+    return _update(model, x_adv, y, spec, velocity, lr)
 
 
-def pgd_at_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+def pgd_at_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
     x_adv = pgd(model, x, y, spec.epsilon, steps=7, clamp=clamp, seed=step_seed)
-    return _update(model, x_adv, y, spec, state, lr)
+    return _update(model, x_adv, y, spec, velocity, lr)
 
 
-def slat_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+def slat_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
     """One update on the all-sites-perturbed loss: 2 forwards + 2 backwards."""
     x_in, deltas, _ = _slat_inputs(model, x, y, spec, clamp)
-    return _update(model, x_in, y, spec, state, lr, deltas)
+    return _update(model, x_in, y, spec, velocity, lr, deltas)
 
 
 def fast_ga_problem(model):
@@ -261,20 +253,20 @@ def fast_ga_grads(model, x, y, spec, clamp=None):
     return total, grads
 
 
-def slat_fast_ga_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+def slat_fast_ga_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
     """SGD on fast_ga_grads: 3 forwards + 3 backwards."""
     total, grads = fast_ga_grads(model, x, y, spec, clamp)
-    sgd_update(model.parameters(), grads, state, lr, spec.momentum,
+    sgd_update(model.parameters(), grads, velocity, lr, spec.momentum,
                spec.weight_decay)
     return total
 
 
-def fgsm_rs_latent_step(model, x, y, spec, state, lr, clamp=None, step_seed=0):
+def fgsm_rs_latent_step(model, x, y, spec, velocity, lr, clamp=None, step_seed=0):
     """Random-start input adversary combined with clean-derived latent deltas."""
     x_adv = r_fgsm(model, x, y, spec.epsilon, clamp=clamp, seed=step_seed)
     eta = spec.eta_for(model)
     latent = latent_deltas(model, x, y, {k: e for k, e in eta.items() if k != 0})
-    return _update(model, x_adv, y, spec, state, lr, latent)
+    return _update(model, x_adv, y, spec, velocity, lr, latent)
 
 
 _STEP_FNS = {
@@ -286,6 +278,7 @@ _STEP_FNS = {
     "slat_fast_ga": slat_fast_ga_step,
     "fgsm_rs_latent": fgsm_rs_latent_step,
 }
+METHODS = tuple(_STEP_FNS)
 
 
 def evaluate_checkpoint(model, xs, ys, spec, ev, step, epoch, lr, clamp=None):
@@ -338,7 +331,7 @@ def train(model, dataset, spec, sinks=(), eval_data=None, eval_settings=None):
                            ev.n_eval, spec.seed)
     exs, eys = held_out.xs, held_out.ys
 
-    state = init_optimizer(model)
+    velocity = init_optimizer(model)
     records = []
 
     def emit(step):
@@ -360,7 +353,7 @@ def train(model, dataset, spec, sinks=(), eval_data=None, eval_settings=None):
             if step % every == 0:
                 emit(step)
             lr = cyclic_lr(step, total_steps, spec.lr_max, spec.peak_fraction)
-            loss = step_fn(model, xb, yb, spec, state, lr, clamp,
+            loss = step_fn(model, xb, yb, spec, velocity, lr, clamp,
                            step_seed=(spec.seed, step))
             if not np.isfinite(loss):
                 raise NonFiniteGradient(f"non-finite loss at step {step}")

@@ -22,8 +22,8 @@ from slatlab.data import (ToySpec, gen_toy, load_idx, write_idx_images,
 from slatlab.metrics import (accumulated_linearization_error,
                              boundary_nonrobust_ratio,
                              detect_catastrophic_overfitting,
-                             linearity_probes, loss_landscape, robust_accuracy,
-                             slice_linear_residual)
+                             linearity_probes, loss_landscape, probe_limits,
+                             robust_accuracy, slice_linear_residual)
 from slatlab.models import (build_linear, build_small_cnn, build_toy_mlp,
                             forward_logits, forward_with_latents,
                             load_checkpoint, load_into, save_checkpoint,
@@ -51,8 +51,7 @@ def test_a1_gradient_oracle():
     with criterion("A1 gradient oracle (central differences, 100 points/op)"):
         for name, builder, point in op_graph_builders():
             rng = np.random.default_rng(zlib.crc32(name.encode()))
-            worst = max(grad_check(builder, point(rng), h=1e-5)
-                        for _ in range(100))
+            worst = max(grad_check(builder, point(rng)) for _ in range(100))
             assert worst <= 1e-6, f"{name}: max rel err {worst}"
 
 
@@ -116,7 +115,6 @@ def test_a4_accumulated_perturbation_scaling():
 # --- A5 ---------------------------------------------------------------
 
 A5_MU, A5_SIGMA = (0.25, 0.05), (0.15, 0.02)
-A5_LIM = 3.0 * np.sqrt(np.asarray(A5_MU) ** 2 + np.asarray(A5_SIGMA) ** 2)
 
 
 def _a5_train(method, seed):
@@ -141,9 +139,8 @@ def a5_runs():
 
 def test_a5_toy_boundary_and_robustness(a5_runs):
     with criterion("A5 toy feature selection: ratio ordering + robust-acc gap"):
-        xlim = (-A5_LIM[0], A5_LIM[0])
-        ylim = (-A5_LIM[1], A5_LIM[1])
-        ratios = {key: boundary_nonrobust_ratio(model, xlim, ylim)
+        box = probe_limits(A5_MU, A5_SIGMA)
+        ratios = {key: boundary_nonrobust_ratio(model, *box)
                   for key, model in a5_runs.items()}
         ordered = sum(
             ratios[("slat", s)] < ratios[("fgsm_at", s)] < ratios[("standard", s)]

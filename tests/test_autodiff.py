@@ -111,6 +111,41 @@ def test_shape_mismatch_reports_op():
         t.record("loss_softmax_xent", [np.zeros(3)], labels=np.array([0]))
 
 
+# One input each op's forward rule rejects, with the exception it raises.
+X4 = np.zeros((2, 1, 4, 4))
+BAD_OP_INPUTS = {
+    "unknown_kind": ("conv3d", [X4], {}, ValueError),
+    "dense_bias": ("dense", [np.ones((1, 2)), np.eye(2), np.zeros(3)], {},
+                   ShapeMismatch),
+    "conv_rank": ("conv2d", [X4[0], np.zeros((1, 1, 3, 3)), np.zeros(1)], {},
+                  ShapeMismatch),
+    "conv_channels": ("conv2d", [X4, np.zeros((1, 2, 3, 3)), np.zeros(1)], {},
+                      ShapeMismatch),
+    "conv_even_kernel": ("conv2d", [X4, np.zeros((1, 1, 2, 2)), np.zeros(1)], {},
+                         ShapeMismatch),
+    "conv_oblong_kernel": ("conv2d", [X4, np.zeros((1, 1, 3, 1)), np.zeros(1)], {},
+                           ShapeMismatch),
+    "conv_bias": ("conv2d", [X4, np.zeros((1, 1, 3, 3)), np.zeros(2)], {},
+                  ShapeMismatch),
+    "maxpool_odd_h": ("maxpool2x2", [np.zeros((2, 1, 3, 4))], {}, ShapeMismatch),
+    "maxpool_odd_w": ("maxpool2x2", [np.zeros((2, 1, 4, 3))], {}, ShapeMismatch),
+    "flatten_rank": ("flatten", [np.zeros(3)], {}, ShapeMismatch),
+    "loss_label_shape": ("loss_softmax_xent", [np.zeros((2, 3))],
+                         {"labels": np.array([0, 1, 2])}, ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OP_INPUTS))
+def test_an_op_rejects_an_input_it_cannot_take(case):
+    op, inputs, params, exc = BAD_OP_INPUTS[case]
+    tape = Tape()
+    with pytest.raises(exc) as err:
+        tape.record(op, inputs, **params)
+    assert err.type is exc
+    if exc is ShapeMismatch:
+        assert err.value.op == op
+
+
 SMOOTH_POINTS = 10  # per-op sample for the unit suite; the acceptance gate runs 100
 
 

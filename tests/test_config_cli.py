@@ -14,7 +14,8 @@ from slatlab.config import (_SCHEMA, ParseError, ValidationError, build_datasets
                             build_model, parse_config, parse_number)
 from slatlab.data import write_idx_images, write_idx_labels
 from slatlab.metrics import read_metrics_csv
-from slatlab.models import build_small_cnn, save_checkpoint
+from slatlab.models import (build_small_cnn, build_toy_mlp, load_checkpoint, load_into,
+                            save_checkpoint)
 from slatlab.training import EvalSettings, TrainSpec
 
 FAST_TOY = """
@@ -582,10 +583,17 @@ def _short_labels_file(tmp_path):
             *(f"--{key}={value}" for key, value in idx.items())]
 
 
+def _checkpoint_of_another_width(tmp_path):
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(build_toy_mlp(16), path)
+    return ["eval", "--ckpt", str(path), "--model.hidden=8"]
+
+
 @pytest.mark.parametrize("bad_input,prefix", [
     (_garbage_checkpoint, "input error: bad magic"),
     (_missing_checkpoint, "I/O error: [Errno 2]"),
-    (_short_labels_file, "input error:")])
+    (_short_labels_file, "input error:"),
+    (_checkpoint_of_another_width, "input error: layer0.w: shape (2, 16) != (2, 8)")])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, bad_input, prefix):
     out = tmp_path / "out"
     code = main([*bad_input(tmp_path), "--config", write_cfg(tmp_path),
@@ -768,6 +776,73 @@ def test_diverged_toy_run_reports_a_degenerate_boundary(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_no_constants)
     assert summary["boundary_ratio"] is None and summary["aborted"] is None
+
+
+@pytest.mark.parametrize("task", ["toy", "idx"])
+def test_an_aborted_run_says_why_in_one_line(tmp_path, capsys, task):
+    out = tmp_path / "out"
+    extra = (["--data.n_per_class=16", "--data.test_n_per_class=16", "--model.hidden=4"]
+             if task == "toy" else _idx_task(tmp_path, 16, 8))
+    code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), *extra,
+                 "--train.epochs=4", "--train.lr_max=1e300"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == ["aborted: non-finite gradient for layer0.w"]
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_no_constants)
+    assert summary["aborted"] == "non-finite gradient for layer0.w"
+    if task == "toy":
+        assert summary["boundary_ratio"] is None
+    else:
+        assert "boundary_ratio" not in summary
+    assert sorted(p.name for p in out.iterdir()) == ["final.ckpt", "metrics.csv",
+                                                      "summary.json"]
+
+
+@pytest.mark.parametrize("mu,sigma", [(data.DEFAULT_TOY_MU, data.DEFAULT_TOY_SIGMA),
+                                      ((3.0, 0.05), (0.5, 0.3))],
+                         ids=["default", "other"])
+def test_the_boundary_probe_scans_the_run_s_own_data_box(tmp_path, mu, sigma):
+    path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out), "--train.method=standard",
+                 f"--data.mu={mu[0]!r},{mu[1]!r}",
+                 f"--data.sigma={sigma[0]!r},{sigma[1]!r}"]) == 0
+    model = load_into(build_model(parse_config(path)),
+                      load_checkpoint(out / "final.ckpt"))
+    own = metrics.boundary_nonrobust_ratio(model, *metrics.probe_limits(mu, sigma))
+    default = metrics.boundary_nonrobust_ratio(
+        model, *metrics.probe_limits(data.DEFAULT_TOY_MU, data.DEFAULT_TOY_SIGMA))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["boundary_ratio"] == own
+    assert (own == default) == (mu == data.DEFAULT_TOY_MU)
+
+
+def test_a_linear_toy_run_reports_its_boundary(tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 "--model.zoo=linear", "--model.in_shape=2"]) == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_no_constants)
+    assert np.isfinite(summary["boundary_ratio"]) and summary["aborted"] is None
+
+
+def _metrics_csv_of_an_image_run(tmp_path, name, *overrides):
+    out = tmp_path / name
+    assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out),
+                 *_idx_task(tmp_path, 40, 8), "--data.limit=20", "--train.batch=16",
+                 "--output.save_landscape=false", *overrides]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    return summary["steps_per_epoch"], (out / "metrics.csv").read_bytes()
+
+
+def test_an_image_run_cuts_to_data_limit_and_augments_reproducibly(tmp_path):
+    first = _metrics_csv_of_an_image_run(tmp_path, "a", "--data.augment_pad=2")
+    again = _metrics_csv_of_an_image_run(tmp_path, "b", "--data.augment_pad=2")
+    plain = _metrics_csv_of_an_image_run(tmp_path, "c", "--data.augment_pad=0")
+    assert first[0] == plain[0] == 2     # 20 of the 40 examples, batch 16
+    assert first == again
+    assert first[1] != plain[1]
 
 
 def test_cli_dotted_override(tmp_path):

@@ -154,6 +154,15 @@ def test_dataset_length_mismatch():
         LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
 
 
+@pytest.mark.parametrize("spec", [
+    {"sigma": (0.5, 0.0)}, {"sigma": (-0.1, 0.02)}, {"n_per_class": 0}],
+    ids=["sigma_zero", "sigma_negative", "no_examples"])
+def test_toy_spec_rejects_a_degenerate_task(spec):
+    with pytest.raises(ValueError) as err:
+        ToySpec(**spec)
+    assert err.type is ValueError
+
+
 def test_augment_identity_at_zero_pad():
     x = np.random.default_rng(8).normal(size=(3, 1, 6, 6))
     out = augment_pad_crop(x, 0, np.random.default_rng(0))

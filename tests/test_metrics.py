@@ -5,15 +5,16 @@ import pytest
 
 from slatlab.attacks import AttackSpec, latent_deltas
 from slatlab.autodiff import UnknownSite, per_example_xent
-from slatlab.data import LabeledDataset, ToySpec, gen_toy
+from slatlab.data import (DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA, LabeledDataset,
+                          ToySpec, gen_toy)
 from slatlab.metrics import (DegenerateBoundary, LandscapeGrid, MetricRecord,
                              accuracy, accumulated_linearization_error,
                              boundary_nonrobust_ratio,
                              detect_catastrophic_overfitting,
                              linear_approx_error, linearity_probes,
-                             loss_landscape, read_metrics_csv, robust_accuracy,
-                             save_landscape_csv, slice_linear_residual,
-                             write_metrics_csv)
+                             loss_landscape, probe_limits, read_metrics_csv,
+                             robust_accuracy, save_landscape_csv,
+                             slice_linear_residual, write_metrics_csv)
 from slatlab.models import (Layer, Model, build_linear, build_small_cnn,
                             build_toy_mlp, forward_logits)
 
@@ -154,6 +155,12 @@ def test_linear_approx_error_rejects_an_unknown_site():
         linear_approx_error(m, np.zeros((1, 2)), np.array([0]), 5, np.zeros((1, 2)))
 
 
+def test_loss_landscape_needs_two_coefficients():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        loss_landscape(build_toy_mlp(4), np.zeros((2, 2)), np.array([0, 1]),
+                       epsilon=0.1, n=1)
+
+
 def test_loss_landscape_origin_bit_exact():
     m = build_toy_mlp(8, seed=9)
     rng = np.random.default_rng(9)
@@ -162,7 +169,7 @@ def test_loss_landscape_origin_bit_exact():
     grid = loss_landscape(m, x, y, epsilon=0.1, n=5, seed=0)
     assert grid.values[0, 0] == per_example_xent(forward_logits(m, x), y).mean()
     assert grid.values.shape == (5, 5)
-    assert grid.a_values[0] == 0.0 and grid.a_values[-1] == pytest.approx(0.1)
+    assert grid.coeffs[0] == 0.0 and grid.coeffs[-1] == pytest.approx(0.1)
 
 
 def test_loss_landscape_monotone_along_adversarial_axis_for_linear():
@@ -177,9 +184,9 @@ def test_loss_landscape_monotone_along_adversarial_axis_for_linear():
 
 def test_slice_linear_residual_flags_linearity():
     a = np.linspace(0, 1, 11)
-    flat = LandscapeGrid(np.tile(2 * a[:, None] + 1, (1, 11)), a, a)
+    flat = LandscapeGrid(np.tile(2 * a[:, None] + 1, (1, 11)), a)
     assert slice_linear_residual(flat) <= 1e-12
-    bumpy = LandscapeGrid(np.tile(np.sin(6 * a)[:, None], (1, 11)), a, a)
+    bumpy = LandscapeGrid(np.tile(np.sin(6 * a)[:, None], (1, 11)), a)
     assert slice_linear_residual(bumpy) > 0.2
 
 
@@ -235,11 +242,14 @@ def test_detect_co_respects_window():
     assert detect_catastrophic_overfitting(recs, window=100) is None
 
 
+DEFAULT_BOX = probe_limits(DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA)
+
+
 def test_boundary_ratio_vertical_horizontal_tilted():
-    assert boundary_nonrobust_ratio(linear_margin_model(1.0, 0.0)) == \
+    assert boundary_nonrobust_ratio(linear_margin_model(1.0, 0.0), *DEFAULT_BOX) == \
         pytest.approx(0.0, abs=1e-9)
-    assert boundary_nonrobust_ratio(linear_margin_model(0.0, 1.0)) == 1e6
-    got = boundary_nonrobust_ratio(linear_margin_model(1.0, 0.5))
+    assert boundary_nonrobust_ratio(linear_margin_model(0.0, 1.0), *DEFAULT_BOX) == 1e6
+    got = boundary_nonrobust_ratio(linear_margin_model(1.0, 0.5), *DEFAULT_BOX)
     assert got == pytest.approx(0.5, rel=1e-3)
 
 
@@ -247,7 +257,28 @@ def test_boundary_ratio_degenerate():
     m = linear_margin_model(0.0, 0.0)
     m.layers[0].arrays["b"][:] = [0.0, 1.0]    # constant positive margin
     with pytest.raises(DegenerateBoundary):
-        boundary_nonrobust_ratio(m)
+        boundary_nonrobust_ratio(m, *DEFAULT_BOX)
+
+
+@pytest.mark.parametrize("mu,sigma", [(DEFAULT_TOY_MU, DEFAULT_TOY_SIGMA),
+                                      ((0.25, 0.05), (0.15, 0.02))],
+                         ids=["default", "a5"])
+def test_probe_limits_is_three_sigma_of_the_mixture_per_axis(mu, sigma):
+    (x0, x1), (y0, y1) = probe_limits(mu, sigma)
+    assert (x0, y0) == (-x1, -y1)
+    assert x1 == 3.0 * np.sqrt(mu[0] ** 2 + sigma[0] ** 2)
+    assert y1 == 3.0 * np.sqrt(mu[1] ** 2 + sigma[1] ** 2)
+
+
+def test_boundary_ratio_reads_only_the_box_it_is_given():
+    # the boundary 2x + y = 0.25 crosses both boxes, with normal ratio 1/2
+    m = linear_margin_model(2.0, 1.0)
+    m.layers[0].arrays["b"][:] = [0.25, 0.0]
+    for box in (((-1.0, 1.0), (-1.0, 1.0)), ((-4.0, 4.0), (-0.5, 0.5))):
+        assert boundary_nonrobust_ratio(m, *box) == pytest.approx(0.5, rel=1e-3)
+    # a box the boundary misses has no crossing to fit
+    with pytest.raises(DegenerateBoundary):
+        boundary_nonrobust_ratio(m, (2.0, 3.0), (2.0, 3.0))
 
 
 def test_second_order_bound_chain():
@@ -322,8 +353,7 @@ def test_metrics_csv_round_trip(tmp_path):
 
 
 def test_landscape_csv(tmp_path):
-    grid = LandscapeGrid(np.arange(9.0).reshape(3, 3), np.linspace(0, 1, 3),
-                         np.linspace(0, 1, 3))
+    grid = LandscapeGrid(np.arange(9.0).reshape(3, 3), np.linspace(0, 1, 3))
     save_landscape_csv(grid, tmp_path / "ls.csv")
     lines = (tmp_path / "ls.csv").read_text().splitlines()
     assert lines[0].startswith("a\\b,")

@@ -8,7 +8,8 @@ from slatlab.autodiff import (ShapeMismatch, Tape, UnknownSite, backward,
 from slatlab.models import (FORWARD_ROWS, ZOO_SITES, CheckpointError, Layer, Model,
                             ShapeTooSmall, build_linear, build_small_cnn, build_toy_mlp,
                             forward_logits, forward_with_latents, load_checkpoint,
-                            load_into, loss_grads, save_checkpoint)
+                            load_into, loss_grads, save_checkpoint,
+                            truncated_forward)
 
 
 def test_linear_parameter_count_and_sites():
@@ -177,6 +178,33 @@ def test_forward_rejects_unknown_site_and_bad_shape():
         forward_with_latents(m, np.zeros((1, 3)))
 
 
+def _site_past_the_last_layer():
+    Model([Layer("dense", w=np.eye(2), b=np.zeros(2))], sites={0: 1},
+          input_shape=(2,))
+
+
+# Calls that must raise, each with the one exception it raises.
+BAD_MODEL_CALLS = {
+    "site_past_the_last_layer": (_site_past_the_last_layer, ValueError),
+    "misshaped_delta": (lambda: forward_with_latents(
+        build_toy_mlp(4), np.zeros((1, 2)), {1: np.zeros((1, 5))}), ShapeMismatch),
+    "truncated_at_unknown_site": (lambda: truncated_forward(
+        build_toy_mlp(4), 3, np.zeros((1, 4))), UnknownSite),
+    "linear_no_width": (lambda: build_linear(0, 2), ValueError),
+    "linear_one_class": (lambda: build_linear(2, 1), ValueError),
+    "toy_mlp_no_hidden": (lambda: build_toy_mlp(0), ValueError),
+    "small_cnn_rank_2": (lambda: build_small_cnn((28, 28), 10), ShapeTooSmall),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_CALLS))
+def test_model_calls_reject_bad_arguments(case):
+    call, exc = BAD_MODEL_CALLS[case]
+    with pytest.raises(exc) as err:
+        call()
+    assert err.type is exc
+
+
 def test_latent_gradients_all_sites_one_sweep():
     m = build_small_cnn((1, 8, 8), 3, seed=6)
     x = np.random.default_rng(3).normal(size=(2, 1, 8, 8))
@@ -330,6 +358,21 @@ def test_checkpoint_truncation(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_trailing_byte(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_linear(2, 2, seed=0), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_shape_mismatch(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_toy_mlp(4), path)
+    with pytest.raises(CheckpointError, match="layer0.w: shape"):
+        load_into(build_toy_mlp(5), load_checkpoint(path))
 
 
 def test_checkpoint_name_mismatch(tmp_path):

@@ -42,35 +42,34 @@ def test_cyclic_lr_validates_peak():
 
 def test_sgd_hand_computed_steps():
     p = {"w": np.array([1.0])}
-    state = init_optimizer_like(p)
-    sgd_update(p, {"w": np.array([1.0])}, state, lr=0.1, momentum=0.9,
+    velocity = init_optimizer_like(p)
+    sgd_update(p, {"w": np.array([1.0])}, velocity, lr=0.1, momentum=0.9,
                weight_decay=0.0)
     assert p["w"][0] == pytest.approx(0.9)
-    sgd_update(p, {"w": np.array([1.0])}, state, lr=0.1, momentum=0.9,
+    sgd_update(p, {"w": np.array([1.0])}, velocity, lr=0.1, momentum=0.9,
                weight_decay=0.0)
-    assert state.velocity["w"][0] == pytest.approx(1.9)
+    assert velocity["w"][0] == pytest.approx(1.9)
     assert p["w"][0] == pytest.approx(0.71)
 
 
 def init_optimizer_like(params):
-    from slatlab.training import OptimizerState
-    return OptimizerState({k: np.zeros_like(v) for k, v in params.items()})
+    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 def test_sgd_zero_grad_and_zero_lr():
     p = {"w": np.array([2.0])}
-    state = init_optimizer_like(p)
-    state.velocity["w"][:] = 0.4
-    sgd_update(p, {"w": np.array([0.0])}, state, lr=0.0, momentum=0.5,
+    velocity = init_optimizer_like(p)
+    velocity["w"][:] = 0.4
+    sgd_update(p, {"w": np.array([0.0])}, velocity, lr=0.0, momentum=0.5,
                weight_decay=0.0)
     assert p["w"][0] == 2.0
-    assert state.velocity["w"][0] == pytest.approx(0.2)   # velocity decays
+    assert velocity["w"][0] == pytest.approx(0.2)   # velocity decays
 
 
 def test_sgd_weight_decay_enters_before_momentum():
     p = {"w": np.array([10.0])}
-    state = init_optimizer_like(p)
-    sgd_update(p, {"w": np.array([0.0])}, state, lr=1.0, momentum=0.0,
+    velocity = init_optimizer_like(p)
+    sgd_update(p, {"w": np.array([0.0])}, velocity, lr=1.0, momentum=0.0,
                weight_decay=5e-4)
     assert p["w"][0] == pytest.approx(10.0 - 5e-4 * 10.0)
 
@@ -80,6 +79,12 @@ def test_sgd_aborts_on_nonfinite():
     with pytest.raises(NonFiniteGradient):
         sgd_update(p, {"w": np.array([np.nan])}, init_optimizer_like(p),
                    0.1, 0.9, 0.0)
+
+
+def test_train_rejects_an_empty_dataset():
+    empty = gen_toy(ToySpec(n_per_class=1)).subset(np.arange(0))
+    with pytest.raises(ValueError, match="dataset is empty"):
+        train(build_toy_mlp(4), empty, TrainSpec(method="standard"))
 
 
 def test_slat_reduces_to_fgsm_at_input_site():
